@@ -22,6 +22,7 @@ from .numerics import (
     glu,
     matmul2d,
     mix,
+    no_grad,
     parameter,
     relu,
     reshape,
@@ -242,8 +243,8 @@ class BrainNet:
 
     def attention_weights(self, positions: np.ndarray) -> np.ndarray:
         """Eval-mode softmax weights (no dropout), (D1, C)."""
-        logits = self.attention_logits(positions)
-        return softmax(logits, axis=1).data
+        with no_grad():
+            return softmax(self.attention_logits(positions), axis=1).data
 
     def forward(
         self,

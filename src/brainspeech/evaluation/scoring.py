@@ -9,8 +9,13 @@ import numpy as np
 
 from ..brain_net import BrainNet
 from ..dataset.splits import normalize_token
-from ..numerics import Tensor
-from ..objective import clip_scores_eval, regression_scores_eval, softmax_rows
+from ..numerics import Tensor, no_grad
+from ..objective import (
+    clip_scores_eval,
+    regression_scores_eval,
+    softmax_rows,
+    true_ranks,
+)
 from ..pipeline import DataPipeline
 
 
@@ -60,10 +65,11 @@ def _find_duplicates(probs_columns: np.ndarray) -> List[Tuple[int, int]]:
 def _forward_chunks(net: BrainNet, x: np.ndarray, sidx: np.ndarray,
                     positions, chunk: int = 64, subject_fallback: bool = False) -> np.ndarray:
     outs = []
-    for i in range(0, x.shape[0], chunk):
-        out = net.forward(Tensor(x[i : i + chunk]), sidx[i : i + chunk], positions,
-                          training=False, subject_fallback=subject_fallback)
-        outs.append(out.data)
+    with no_grad():
+        for i in range(0, x.shape[0], chunk):
+            out = net.forward(Tensor(x[i : i + chunk]), sidx[i : i + chunk], positions,
+                              training=False, subject_fallback=subject_fallback)
+            outs.append(out.data)
     return np.concatenate(outs, axis=0)
 
 
@@ -112,23 +118,11 @@ def score_test_set(
     )
 
 
-def _ranks(probs: np.ndarray, true_index: np.ndarray) -> Tuple[np.ndarray, int]:
-    """0-based rank of the true candidate per trial; ties break toward the
-    lowest candidate index. Returns (ranks, number of tied trials)."""
-    t = np.arange(probs.shape[0])
-    true_p = probs[t, true_index]
-    higher = (probs > true_p[:, None]).sum(axis=1)
-    eq = probs == true_p[:, None]
-    tie_counts = eq.sum(axis=1) - 1  # beyond the true candidate itself
-    before = (eq & (np.arange(probs.shape[1])[None, :] < true_index[:, None])).sum(axis=1)
-    return higher + before, int((tie_counts > 0).sum())
-
-
 def topk_accuracy(report: EvalReport, k: int) -> float:
     """Percentage of trials whose true candidate ranks within the top k."""
     if k > report.n_candidates:
         raise ValueError(f"k={k} exceeds {report.n_candidates} candidates")
-    ranks, ties = _ranks(report.probs, report.true_index)
+    ranks, ties = true_ranks(report.probs, report.true_index)
     report.metadata.setdefault("tie_trials", ties)
     return float((ranks < k).mean() * 100.0)
 
@@ -137,7 +131,7 @@ def per_subject_topk(report: EvalReport, k: int) -> Dict[int, float]:
     out = {}
     for s in np.unique(report.trial_subjects):
         mask = report.trial_subjects == s
-        ranks, _ = _ranks(report.probs[mask], report.true_index[mask])
+        ranks, _ = true_ranks(report.probs[mask], report.true_index[mask])
         out[int(s)] = float((ranks < k).mean() * 100.0)
     return out
 
@@ -169,7 +163,7 @@ def word_level_eval(report: EvalReport) -> WordLevelResult:
         group[j, word_of[w]] = 1.0
     word_probs = report.probs @ group
     true_words = np.array([word_of[report.anchor_words[j]] for j in report.true_index])
-    ranks, _ = _ranks(word_probs, true_words)
+    ranks, _ = true_ranks(word_probs, true_words)
     k10 = min(10, len(word_order))
     return WordLevelResult(
         word_order=word_order,
@@ -197,10 +191,8 @@ def restricted_candidates(report: EvalReport, n: int = 50, seed: int = 0) -> dic
         subset.sort()
         sub_probs = report.probs[t, subset]
         sub_probs = sub_probs / sub_probs.sum()
-        true_pos = int(np.where(subset == true)[0][0])
-        higher = (sub_probs > sub_probs[true_pos]).sum()
-        before = ((sub_probs == sub_probs[true_pos]) & (np.arange(n) < true_pos)).sum()
-        rank = higher + before
+        true_pos = np.flatnonzero(subset == true)
+        rank = true_ranks(sub_probs[None, :], true_pos)[0][0]
         hits1 += rank < 1
         hits10 += rank < min(10, n)
     return {
@@ -219,7 +211,7 @@ def zero_shot_split(report: EvalReport, train_vocab: set) -> dict:
         [wl.word_order[wi] in vocab for wi in wl.true_word_index]
     )
     out = {}
-    ranks, _ = _ranks(wl.word_probs, wl.true_word_index)
+    ranks, _ = true_ranks(wl.word_probs, wl.true_word_index)
     k10 = min(10, len(wl.word_order))
     for name, mask in (("in_train", in_train), ("absent", ~in_train)):
         if mask.sum() == 0:

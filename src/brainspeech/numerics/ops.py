@@ -2,11 +2,14 @@
 
 All functions take and return :class:`Tensor`. Data layout convention is
 (batch, channel, time) for 3-axis tensors. Every op here has a matching
-finite-difference check in the test suite.
+finite-difference check in the test suite. Outputs and gradients keep the
+input dtype: constants are Python floats, which NumPy 2 casts to the array's
+dtype instead of promoting float32 to float64.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,8 +17,8 @@ from scipy.special import erf
 
 from .tensor import Tensor, from_op
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -71,6 +74,22 @@ def mean_all(a: Tensor) -> Tensor:
     return from_op(out_data, (a,), backward)
 
 
+def _im2col(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """(B, Cin, T) -> (B, Cin*k, T) columns of the same-padded dilated taps.
+
+    For k=1 the columns are the input itself (made contiguous if needed).
+    """
+    if k == 1:
+        return np.ascontiguousarray(x)
+    batch, cin, t = x.shape
+    pad = dilation * (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    cols4 = np.empty((batch, cin, k, t), dtype=x.dtype)
+    for j in range(k):
+        cols4[:, :, j, :] = xp[:, :, j * dilation : j * dilation + t]
+    return cols4.reshape(batch, cin * k, t)
+
+
 def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) -> Tensor:
     """Same-padded dilated 1D convolution.
 
@@ -92,28 +111,28 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
         raise ValueError(f"conv1d: bias shape {b.shape} != ({cout},)")
 
     pad = dilation * (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
-    cols4 = np.empty((batch, cin, k, t), dtype=x.dtype)
-    for j in range(k):
-        cols4[:, :, j, :] = xp[:, :, j * dilation : j * dilation + t]
-    cols = cols4.reshape(batch, cin * k, t)
     w2 = w.data.reshape(cout, cin * k)
-    out_data = np.matmul(w2, cols)
+    out_data = np.matmul(w2, _im2col(x.data, k, dilation))
     if b is not None:
         out_data += b.data[:, None]
 
+    # Backward rebuilds the columns from x instead of keeping a k-times copy.
     def backward(g: np.ndarray) -> None:
         if w.requires_grad:
-            dw2 = np.tensordot(g, cols, axes=([0, 2], [0, 2]))
+            dw2 = np.tensordot(g, _im2col(x.data, k, dilation), axes=([0, 2], [0, 2]))
             w.accumulate(dw2.reshape(cout, cin, k))
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g).reshape(batch, cin, k, t)
-            dxp = np.zeros_like(xp)
-            for j in range(k):
-                dxp[:, :, j * dilation : j * dilation + t] += dcols[:, :, j, :]
-            x.accumulate(dxp[:, :, pad : pad + t] if pad else dxp)
+            dcols = np.matmul(w2.T, g)
+            if k == 1:
+                x.accumulate(dcols)
+            else:
+                dcols = dcols.reshape(batch, cin, k, t)
+                dxp = np.zeros((batch, cin, t + 2 * pad), dtype=x.dtype)
+                for j in range(k):
+                    dxp[:, :, j * dilation : j * dilation + t] += dcols[:, :, j, :]
+                x.accumulate(dxp[:, :, pad : pad + t])
 
     parents = (x, w, b) if b is not None else (x, w)
     return from_op(out_data, parents, backward)

@@ -2,19 +2,23 @@
 
 Tensors wrap an ndarray (float32 by default, float64 for gradient
 checking) and remember how they were produced. Calling ``backward()`` on
-a scalar walks the graph in reverse topological order and accumulates
-gradients into every tensor with ``requires_grad=True``.
+a scalar walks the graph in reverse topological order, accumulates
+gradients into every tensor with ``requires_grad=True`` and releases each
+node's link to the graph once its gradient has been passed on. Inside
+``no_grad()`` ops record no graph at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -71,7 +75,13 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this (scalar) tensor."""
+        """Reverse-mode sweep from this (scalar) tensor.
+
+        The graph is consumed: after a node's closure has run, the node drops
+        its closure, its parents and (unless it is a leaf) its gradient, so
+        the activations it held are freed as the sweep goes and tensors kept
+        by the caller pin no graph afterwards.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -90,9 +100,15 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -108,10 +124,26 @@ def constant(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=False)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops inside the block record no graph: outputs keep no parents and no closure."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def from_op(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
-    """Build a graph node; the backward closure is dropped when no parent needs grad."""
+    """Build a graph node; the backward closure is dropped when no parent needs
+    grad or inside ``no_grad()``."""
     parents = tuple(parents)
-    needs = any(p.requires_grad for p in parents)
+    needs = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(
         data,
         requires_grad=needs,

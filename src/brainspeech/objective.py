@@ -8,7 +8,7 @@ one-directional cross-entropy of the positive candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -98,6 +98,18 @@ def batch_negatives(features: np.ndarray) -> List[CandidateSet]:
         raise ValueError("batch of one has no negatives")
     return [CandidateSet(features=features, positive=i, origin="batch")
             for i in range(features.shape[0])]
+
+
+def true_ranks(scores: np.ndarray, true_index: np.ndarray) -> Tuple[np.ndarray, int]:
+    """0-based rank of the true candidate per row of ``scores``; ties break
+    toward the lowest candidate index. Returns (ranks, number of tied rows)."""
+    t = np.arange(scores.shape[0])
+    true_s = scores[t, true_index]
+    higher = (scores > true_s[:, None]).sum(axis=1)
+    eq = scores == true_s[:, None]
+    tie_counts = eq.sum(axis=1) - 1  # beyond the true candidate itself
+    before = (eq & (np.arange(scores.shape[1])[None, :] < true_index[:, None])).sum(axis=1)
+    return higher + before, int((tie_counts > 0).sum())
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

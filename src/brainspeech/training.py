@@ -14,12 +14,13 @@ import numpy as np
 from .brain_net import BrainNet, BrainNetConfig, build_ablation, deep_mel_config
 from .checkpoint import save_checkpoint
 from .config import Config
-from .numerics import AdamState, NonFiniteGradient, Tensor, adam_step
+from .numerics import AdamState, NonFiniteGradient, Tensor, adam_step, no_grad
 from .objective import (
     clip_loss_batch,
     clip_scores_eval,
     regression_loss,
     regression_scores_eval,
+    true_ranks,
 )
 from .pipeline import DataConfig, DataPipeline
 
@@ -185,6 +186,7 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                      f"{row['valid_loss']:.8f}", f"{row['valid_top10']:.6f}"]
                 )
 
+    @no_grad()
     def validate() -> tuple:
         losses = []
         weights = []
@@ -203,8 +205,7 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                 scores = regression_scores_eval(z.data, y.data)
             losses.append(loss)
             weights.append(chunk.size)
-            pos = scores[np.arange(chunk.size), np.arange(chunk.size)]
-            rank = (scores > pos[:, None]).sum(axis=1)
+            rank, _ = true_ranks(scores, np.arange(chunk.size))
             hits += int((rank < 10).sum())
             total += chunk.size
         loss = float(np.average(losses, weights=weights))

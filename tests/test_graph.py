@@ -1,0 +1,130 @@
+"""Graph lifetime: ``no_grad()`` records nothing, ``backward()`` releases the
+graph as it goes, and neither changes a single bit of the numbers."""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from brainspeech import brain_net
+from brainspeech.brain_net import BrainNet, BrainNetConfig
+from brainspeech.evaluation.scoring import _forward_chunks
+from brainspeech.numerics import Tensor, conv1d, gelu, mean_all, mix, no_grad, parameter
+from brainspeech.objective import clip_loss_batch
+
+
+def desk_net(seed=1):
+    cfg = BrainNetConfig(in_channels=32, out_features=16, n_subjects=2, d1=32, d2=32,
+                         harmonics=8)
+    return BrainNet(cfg, np.random.default_rng(seed))
+
+
+def desk_batch(seed=2, batch=4, t=120):
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.1, 0.9, size=(32, 2))
+    x = rng.normal(size=(batch, 32, t)).astype(np.float32)
+    y = rng.normal(size=(batch, 16, t)).astype(np.float32)
+    return positions, x, y, np.arange(batch) % 2
+
+
+def records_graph() -> bool:
+    return gelu(parameter(np.ones(3, dtype=np.float32), "p"))._backward is not None
+
+
+def backward_keeping_graph(loss: Tensor) -> None:
+    """The sweep without release: same order, closures and graph left intact."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestNoGrad:
+    def test_ops_record_nothing(self):
+        x = parameter(np.ones((2, 3, 5), dtype=np.float32), "x")
+        w = parameter(np.ones((4, 3, 3), dtype=np.float32), "w")
+        m = parameter(np.ones((2, 3), dtype=np.float32), "m")
+        with no_grad():
+            outs = [gelu(x), conv1d(x, w), mix(m, x), mean_all(x)]
+        for out in outs:
+            assert out._backward is None
+            assert out._parents == ()
+            assert not out.requires_grad
+
+    def test_mode_restored_after_normal_exit(self):
+        with no_grad():
+            assert not records_graph()
+        assert records_graph()
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert records_graph()
+
+    def test_mode_restored_after_nested_block(self):
+        with no_grad():
+            with no_grad():
+                assert not records_graph()
+            assert not records_graph()
+        assert records_graph()
+
+    def test_forward_chunks_bitwise_equal(self):
+        net = desk_net()
+        positions, x, _, sidx = desk_batch(batch=10)
+        net.forward(Tensor(x), sidx, positions, training=True,
+                    rng=np.random.default_rng(0))  # record BN statistics
+        got = _forward_chunks(net, x, sidx, positions, chunk=4)
+        want = np.concatenate([
+            net.forward(Tensor(x[i : i + 4]), sidx[i : i + 4], positions, training=False).data
+            for i in range(0, 10, 4)
+        ])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBackwardReleasesGraph:
+    def test_interior_activations_freed_while_outputs_held(self, monkeypatch):
+        refs = []
+
+        def tracked_gelu(t):
+            out = gelu(t)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(brain_net, "gelu", tracked_gelu)
+        net = desk_net()
+        positions, x, y, sidx = desk_batch()
+        z = net.forward(Tensor(x), sidx, positions, training=True,
+                        rng=np.random.default_rng(0))
+        loss = clip_loss_batch(z, Tensor(y))
+        assert refs and all(r() is not None for r in refs)
+        loss.backward()
+        assert all(r() is None for r in refs)
+        assert z._backward is None and z._parents == () and z.grad is None
+        assert loss._backward is None and loss._parents == ()
+
+    def test_leaf_gradients_bitwise_equal_to_keeping_the_graph(self):
+        grads = []
+        for sweep in (Tensor.backward, backward_keeping_graph):
+            net = desk_net()
+            positions, x, y, sidx = desk_batch()
+            z = net.forward(Tensor(x), sidx, positions, training=True,
+                            rng=np.random.default_rng(0))
+            sweep(clip_loss_batch(z, Tensor(y)))
+            grads.append({p.name: p.grad for p in net.parameters()})
+        released, kept = grads
+        assert released.keys() == kept.keys()
+        for name in kept:
+            assert released[name].tobytes() == kept[name].tobytes(), name

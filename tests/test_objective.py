@@ -15,6 +15,7 @@ from brainspeech.objective import (
     regression_loss,
     regression_scores_eval,
     softmax_rows,
+    true_ranks,
 )
 
 
@@ -174,3 +175,14 @@ def test_shift_invariance_of_probabilities():
         softmax_rows(logits), softmax_rows(logits + 123.4), atol=1e-7
     )
     assert np.array_equal(logits.argmax(1), (logits + 123.4).argmax(1))
+
+
+def test_true_ranks_tied_row_breaks_toward_lower_index():
+    scores = np.array([[0.5, 2.0, 2.0, 2.0, 1.0],
+                       [3.0, 1.0, 2.0, 0.0, 4.0]])
+    ranks, ties = true_ranks(scores, np.array([2, 2]))
+    # row 0: candidate 1 ties with the true candidate 2 and comes first
+    assert ranks.tolist() == [1, 2]
+    assert ties == 1
+    assert true_ranks(scores[:1], np.array([1]))[0].tolist() == [0]
+    assert true_ranks(scores[:1], np.array([3]))[0].tolist() == [2]

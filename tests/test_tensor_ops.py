@@ -98,6 +98,21 @@ class TestConv1d:
         err = grad_check(lambda x_, w_, b_: mean_all(gelu(conv1d(x_, w_, b_, dilation=2))), [x, w, b])
         assert err < 1e-4
 
+    def test_grad_k1(self):
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(2, 3, 7)))
+        w = Tensor(rng.normal(size=(4, 3, 1)))
+        b = Tensor(rng.normal(size=4))
+        err = grad_check(lambda x_, w_, b_: mean_all(gelu(conv1d(x_, w_, b_))), [x, w, b])
+        assert err < 1e-4
+
+    def test_grad_k3_dilation3(self):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.normal(size=(2, 3, 8)))
+        w = Tensor(rng.normal(size=(2, 3, 3)))
+        err = grad_check(lambda x_, w_: mean_all(gelu(conv1d(x_, w_, dilation=3))), [x, w])
+        assert err < 1e-4
+
 
 class TestBatchNorm:
     def test_train_mode_standardizes(self):

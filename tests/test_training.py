@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from brainspeech import training
 from brainspeech.config import Config, ConfigError, load_config
 from brainspeech.dataset import SynthSpec, generate_synthetic
+from brainspeech.evaluation import EvalReport, topk_accuracy
 from brainspeech.pipeline import DataConfig, DataPipeline, SplitLeakError
 from brainspeech.training import make_batches, train
 
@@ -133,6 +135,21 @@ class TestTrain:
         result = train(cfg, tmp_path / "run")
         assert np.isfinite(result.best_valid_loss)
         assert (result.checkpoint_dir / "manifest.json").exists()
+
+    def test_valid_top10_breaks_ties_like_eval(self, tiny_dataset, tmp_path, monkeypatch):
+        # every score tied: trial i ranks i-th, as in eval's top-k
+        monkeypatch.setattr(training, "clip_scores_eval",
+                            lambda z, y: np.zeros((z.shape[0], y.shape[0])))
+        cfg = tiny_train_config(tiny_dataset, **{"training.batch_size": 16,
+                                                 "training.max_epochs": 1})
+        result = train(cfg, tmp_path / "run")
+        n = 16  # validation trials, one chunk
+        report = EvalReport(probs=np.full((n, n), 1.0 / n), true_index=np.arange(n),
+                            candidate_ids=list(range(n)), anchor_words=["w"] * n,
+                            trial_subjects=np.zeros(n, dtype=int),
+                            trial_recordings=["r"] * n)
+        assert result.history[0]["valid_top10"] == pytest.approx(10 / n)
+        assert topk_accuracy(report, 10) == pytest.approx(100 * 10 / n)
 
 
 class TestConfig:
