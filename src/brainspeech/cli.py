@@ -257,7 +257,7 @@ def cmd_eval(args) -> int:
 
     if not args.no_recon:
         cand_mels = np.stack(
-            [pipeline.segment_mel(sid) for sid in report.candidate_ids]
+            [pipeline.log_mel(sid) for sid in report.candidate_ids]
         )
         recon = mel_reconstruction(report, cand_mels)
         recon_dir = out_dir / "recon"

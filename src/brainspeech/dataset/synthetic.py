@@ -21,6 +21,7 @@ import numpy as np
 from . import io
 from .splits import build_splits
 from .types import SpeechSegment, WordEvent
+from .windows import WORKING_RATE
 
 RESPONSE_DELAY_S = 0.150
 
@@ -39,7 +40,7 @@ class SynthSpec:
     duration: float = 3.0
     anchor_offset: float = 0.5
     gap: float = 0.5
-    sample_rate: float = 120.0
+    sample_rate: float = WORKING_RATE
     audio_rate: int = 16000
     outlier_frac: float = 0.0
     outlier_scale: float = 1000.0

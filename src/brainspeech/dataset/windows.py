@@ -8,6 +8,8 @@ from .types import Recording, Sample, SpeechSegment
 
 logger = logging.getLogger(__name__)
 
+# Rate (Hz) that every recording is resampled to before windowing and that
+# speech features are aligned to; the one definition in the package.
 WORKING_RATE = 120.0
 
 

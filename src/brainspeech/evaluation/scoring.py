@@ -9,6 +9,7 @@ import numpy as np
 
 from ..brain_net import BrainNet
 from ..dataset.splits import normalize_token
+from ..dataset.windows import WORKING_RATE
 from ..numerics import Tensor, no_grad
 from ..objective import (
     clip_scores_eval,
@@ -251,7 +252,7 @@ def isolated_word_eval(
     a 3 s checkpoint cannot score 0.8 s windows.
     """
     window = pipeline.window_samples
-    if window != int(round(checkpoint_window_s * 120.0)):
+    if window != int(round(checkpoint_window_s * WORKING_RATE)):
         raise ValueError(
             f"checkpoint was trained on {checkpoint_window_s}s windows but the dataset "
             f"uses {pipeline.config.window_s}s; train a matching-window model"

@@ -28,7 +28,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a.accumulate(g)
-        b.accumulate(g)
+        if b.requires_grad:
+            # a may keep g as its gradient buffer and add into it later
+            b.accumulate(g.copy() if a.requires_grad else g)
 
     return from_op(out_data, (a, b), backward)
 

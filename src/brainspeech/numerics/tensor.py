@@ -61,7 +61,13 @@ class Tensor:
         return Tensor(self.data, requires_grad=False, name=self.name)
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` into this tensor's gradient buffer."""
+        """Add ``g`` into this tensor's gradient buffer.
+
+        The first gradient becomes the buffer itself and later ones are added
+        into it in place, so an op must hand each input an array that nothing
+        else writes to or reads afterwards (fresh, or its own output gradient
+        passed to one input only).
+        """
         if not self.requires_grad:
             return
         if g.shape != self.data.shape:
@@ -70,7 +76,7 @@ class Tensor:
                 f"{self.data.shape} for {self.name or 'tensor'}"
             )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad += g
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import preprocessing
 from .dataset import io as dataset_io
 from .dataset.types import Recording, Sample, SpeechSegment
-from .dataset.windows import try_extract_sample
+from .dataset.windows import WORKING_RATE, try_extract_sample
 from .speech import (
     FeatureStats,
     align_feature_rate,
@@ -27,8 +27,6 @@ from .speech import (
 )
 
 logger = logging.getLogger(__name__)
-
-WORKING_RATE = 120.0
 
 
 class SplitLeakError(RuntimeError):
@@ -130,7 +128,6 @@ class DataPipeline:
         self._collect_samples()
         self.scalers = scalers if scalers is not None else self._fit_scalers()
         self._raw_features: Dict[int, np.ndarray] = {}
-        self._mel_inputs: Dict[int, np.ndarray] = {}
         self._load_segment_features()
         if feature_stats is not None:
             self.feature_stats = feature_stats
@@ -183,6 +180,7 @@ class DataPipeline:
     # -- speech targets ----------------------------------------------------
 
     def segment_mel(self, sid: int) -> np.ndarray:
+        """Log-Mel of a segment's audio on the working-rate window grid."""
         audio, rate = dataset_io.read_audio(self.root, sid)
         mel = log_compress(mel_spectrogram(audio, n_mels=self.config.n_mels))
         return align_feature_rate(mel, rate / 128.0, self.config.window_s, WORKING_RATE)
@@ -193,10 +191,7 @@ class DataPipeline:
             if self.splits.split_of(sid) is None:
                 continue
             if rep in ("mel", "deep-mel"):
-                mel = self.segment_mel(sid)
-                self._raw_features[sid] = mel
-                if rep == "deep-mel":
-                    self._mel_inputs[sid] = mel
+                self._raw_features[sid] = self.segment_mel(sid)
             else:
                 arr, rate = load_external_features(self.root, sid)
                 self._raw_features[sid] = align_feature_rate(
@@ -253,11 +248,15 @@ class DataPipeline:
         ids = self.splits.ids_in(split)
         return ids, np.stack([self.features[sid] for sid in ids])
 
-    def mel_input(self, sid: int) -> np.ndarray:
-        """Speech-tower input (normalized log-mel) for deep-mel training."""
-        if self.config.representation != "deep-mel":
-            raise ValueError("mel inputs only exist for the deep-mel representation")
-        return self.features[sid]
+    def log_mel(self, sid: int) -> np.ndarray:
+        """:meth:`segment_mel` of a segment, for Mel reconstruction.
+
+        The Mel representations already hold it as the segment's raw target;
+        the external representation computes it from the audio.
+        """
+        if self.config.representation in ("mel", "deep-mel"):
+            return self._raw_features[sid]
+        return self.segment_mel(sid)
 
     def anchor_word(self, sid: int) -> str:
         w = self.segments[sid].anchor_word(self.config.anchor_s)

@@ -7,9 +7,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..dataset.windows import WORKING_RATE
+
 
 def align_feature_rate(features: np.ndarray, source_rate: float, duration: float,
-                       target_rate: float = 120.0) -> np.ndarray:
+                       target_rate: float = WORKING_RATE) -> np.ndarray:
     """Linearly interpolate (F, T_src) features onto the window's target grid.
 
     Source and target frames are treated as uniformly tiling the window, so

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 AUDIO_RATE = 16000
@@ -18,11 +20,15 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, frame: int = 512, sr: int = AUDIO_RATE,
                    fmin: float = FMIN, fmax: float = FMAX) -> np.ndarray:
     """Unit-peak triangular filters, bin-averaged so narrow triangles never
     vanish between FFT bin centers. Min/max frequencies are fixed across
-    ``n_mels`` choices."""
+    ``n_mels`` choices.
+
+    Built once per argument set: every caller shares one read-only array.
+    """
     n_bins = frame // 2 + 1
     bin_width = sr / frame
     edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
@@ -36,6 +42,7 @@ def mel_filterbank(n_mels: int, frame: int = 512, sr: int = AUDIO_RATE,
         fall = (hi - grid) / max(hi - mid, 1e-12)
         tri = np.clip(np.minimum(rise, fall), 0.0, 1.0)
         fb[i] = tri.reshape(n_bins, oversample).mean(axis=1)
+    fb.flags.writeable = False
     return fb
 
 

@@ -180,3 +180,26 @@ class TestCheckpointRoundtrip:
         a = score_test_set(ckpt["brain"], pipeline)
         b = score_test_set(load_checkpoint(workspace / "run" / "best")["brain"], pipeline)
         np.testing.assert_array_equal(a.probs, b.probs)
+
+
+class TestReconstructionMel:
+    def test_mel_pipeline_reuses_its_targets(self, workspace, monkeypatch):
+        from brainspeech.dataset import io as dataset_io
+        from brainspeech.pipeline import DataConfig, DataPipeline
+
+        pipeline = DataPipeline(workspace / "data", DataConfig(representation="mel"))
+        test_ids = pipeline.splits.ids_in("test")
+        computed = [pipeline.segment_mel(sid) for sid in test_ids]
+        monkeypatch.setattr(dataset_io, "read_audio",
+                            lambda *a: pytest.fail("log_mel re-read the audio"))
+        reused = [pipeline.log_mel(sid) for sid in test_ids]
+        for a, b in zip(reused, computed):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_external_pipeline_computes_the_mel(self, workspace):
+        from brainspeech.pipeline import DataConfig, DataPipeline
+
+        pipeline = DataPipeline(workspace / "data", DataConfig(representation="external"))
+        sid = pipeline.splits.ids_in("test")[0]
+        assert pipeline.log_mel(sid).tobytes() == pipeline.segment_mel(sid).tobytes()
+        assert pipeline.log_mel(sid).shape[0] == pipeline.config.n_mels

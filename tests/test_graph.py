@@ -10,6 +10,7 @@ from brainspeech import brain_net
 from brainspeech.brain_net import BrainNet, BrainNetConfig
 from brainspeech.evaluation.scoring import _forward_chunks
 from brainspeech.numerics import Tensor, conv1d, gelu, mean_all, mix, no_grad, parameter
+from brainspeech.numerics.ops import add, inner_product_full, relu, scale
 from brainspeech.objective import clip_loss_batch
 
 
@@ -128,3 +129,37 @@ class TestBackwardReleasesGraph:
         assert released.keys() == kept.keys()
         for name in kept:
             assert released[name].tobytes() == kept[name].tobytes(), name
+
+
+def accumulate_by_copy(self, g):
+    """Gradient accumulation that never keeps the array it is handed."""
+    if not self.requires_grad:
+        return
+    if self.grad is None:
+        self.grad = g.copy()
+    else:
+        self.grad += g
+
+
+class TestAccumulateKeepsFirstGradient:
+    def test_shared_add_inputs_bitwise_equal_to_copying_sweep(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(3, 5))
+        r = Tensor(rng.normal(size=(3, 5)))
+
+        def leaf_grads():
+            x = parameter(x0.copy(), "x")
+            u = gelu(x)
+            v = scale(x, 3.0)
+            both = add(u, u)  # one tensor feeds both inputs
+            pair = add(v, u)  # v and u receive the same upstream gradient
+            third = relu(v)  # further consumers add into v's and u's buffers
+            loss = add(inner_product_full(add(both, pair), r),
+                       add(mean_all(third), mean_all(u)))
+            loss.backward()
+            return x.grad
+
+        kept = leaf_grads()
+        monkeypatch.setattr(Tensor, "accumulate", accumulate_by_copy)
+        copied = leaf_grads()
+        assert kept.tobytes() == copied.tobytes()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from brainspeech.preprocessing import (
     DegenerateChannel,
     ScalerParams,
+    _resample_filter,
     baseline_correct,
     clamp,
     preprocess_window,
@@ -20,6 +23,34 @@ def fft_resample_oracle(x, sr_in, sr_out):
     spec = np.fft.rfft(x)
     keep = t_out // 2 + 1
     return np.fft.irfft(spec[..., :keep] * (t_out / t_in), n=t_out)
+
+
+def convolve_resample_oracle(signal, sr_in, sr_out):
+    """Direct polyphase resampling: zero-stuff, convolve each channel at the
+    full upsampled rate with ``np.convolve`` and keep every ``down``-th output.
+    Same filter and edge handling as :func:`resample`, none of its blocking."""
+    signal = np.atleast_2d(np.asarray(signal))
+    t_out = int(round(signal.shape[1] * sr_out / sr_in))
+    ratio = Fraction(sr_out / sr_in).limit_denominator(10000)
+    up, down = ratio.numerator, ratio.denominator
+    h = _resample_filter(up, down)
+    half = (len(h) - 1) // 2
+    pad_in = -(-half // up)
+    padded = np.pad(signal, ((0, 0), (pad_in, pad_in)), mode="edge")
+    stuffed = np.zeros((signal.shape[0], padded.shape[1] * up), dtype=np.float64)
+    stuffed[:, ::up] = padded
+    out = np.empty((signal.shape[0], t_out), dtype=signal.dtype)
+    take = np.arange(t_out) * down + pad_in * up + half
+    for c in range(signal.shape[0]):
+        out[c] = np.convolve(stuffed[c], h)[take]
+    return out
+
+
+# (sr_in, sr_out): integer and rational ratios; 500, 1000 and 1017 Hz give up > 1.
+RATE_PAIRS = [(150.0, 120.0), (240.0, 120.0), (250.0, 120.0), (300.0, 120.0),
+              (480.0, 120.0), (500.0, 120.0), (600.0, 120.0), (720.0, 120.0),
+              (1000.0, 120.0), (1017.0, 120.0), (1200.0, 120.0), (1000.0, 250.0),
+              (1200.0, 150.0)]
 
 
 def tone_amplitude(x, freq, rate):
@@ -77,6 +108,33 @@ class TestResample:
         out = resample(x, 500.0, 120.0)[0]
         assert out.shape[0] == 1200
         assert abs(tone_amplitude(out[120:-120], 7.0, 120.0) - 1.0) < 0.01
+
+
+class TestResampleMatchesConvolveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(rates=st.sampled_from(RATE_PAIRS), length=st.integers(1, 1500),
+           channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_float64_within_1e12_relative(self, rates, length, channels, seed):
+        x = np.random.default_rng(seed).normal(size=(channels, length))
+        got = resample(x, *rates)
+        want = convolve_resample_oracle(x, *rates)
+        assert got.shape == want.shape and got.dtype == np.float64
+        if want.size:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rates", [(600.0, 120.0), (1017.0, 120.0)])
+    def test_float32_in_float32_out(self, rates):
+        x = np.random.default_rng(3).normal(size=(2, 2000)).astype(np.float32)
+        got = resample(x, *rates)
+        want = convolve_resample_oracle(x, *rates)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-7 * np.abs(want).max())
+
+    def test_empty_signal_rejected_like_the_oracle(self):
+        with pytest.raises(ValueError):
+            convolve_resample_oracle(np.zeros((2, 0)), 600.0, 120.0)
+        with pytest.raises(ValueError):
+            resample(np.zeros((2, 0)), 600.0, 120.0)
 
 
 class TestBaselineCorrect:

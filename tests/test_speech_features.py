@@ -84,6 +84,15 @@ class TestMelSpectrogram:
         covered = fb.sum(axis=0)[1:256]
         assert np.all(covered > 0)
 
+    def test_filterbank_built_once_and_read_only(self):
+        fb = mel_filterbank(40)
+        assert mel_filterbank(40) is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        mel_spectrogram(np.random.default_rng(0).normal(size=4096), n_mels=40)
+        assert fb.tobytes() == mel_filterbank.__wrapped__(40).tobytes()
+
     def test_min_max_frequencies_fixed_across_n_mels(self):
         # band edges always span exactly [0, 8000] Hz, whatever the count
         for n_mels in (20, 40, 80, 120):
