@@ -42,6 +42,20 @@ def _load_json(path: Path):
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}")
 
 
+def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
+    """Read a little-endian float32 rows x cols file into one writable float32 array."""
+    expect = rows * cols * 4
+    found = path.stat().st_size
+    if found == expect:
+        arr = np.fromfile(path, dtype="<f4", count=rows * cols)
+        found = arr.nbytes
+    if found != expect:
+        raise DatasetFormatError(
+            f"{path}: expected {expect} bytes for {rows}x{cols} float32, found {found}"
+        )
+    return arr.reshape(rows, cols).astype(np.float32, copy=False)
+
+
 def write_manifest(root: Path, manifest: dict) -> None:
     root.mkdir(parents=True, exist_ok=True)
     _dump_json(root / "manifest.json", manifest)
@@ -78,21 +92,14 @@ def write_recording(
 def read_recording(root: Path, recording_id: str, subject_id: int) -> Recording:
     rec_dir = Path(root) / "recordings"
     meta = _load_json(rec_dir / f"{recording_id}.json")
-    c, t = int(meta["channels"]), int(meta["samples"])
-    bin_path = rec_dir / f"{recording_id}.bin"
-    raw = bin_path.read_bytes()
-    expect = c * t * 4
-    if len(raw) != expect:
-        raise DatasetFormatError(
-            f"{bin_path}: expected {expect} bytes for {c}x{t} float32, found {len(raw)}"
-        )
-    signal = np.frombuffer(raw, dtype="<f4").reshape(c, t)
+    signal = _read_matrix(rec_dir / f"{recording_id}.bin",
+                          int(meta["channels"]), int(meta["samples"]))
     return Recording(
         recording_id=recording_id,
         subject_id=subject_id,
         channel_names=list(meta["channel_names"]),
         positions=np.asarray(meta["positions"], dtype=np.float64),
-        signal=signal.astype(np.float32),
+        signal=signal,
         sample_rate=float(meta["sample_rate"]),
     )
 
@@ -164,15 +171,8 @@ def write_feature_file(root: Path, segment_id: int, features: np.ndarray, featur
 def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
     ft_dir = Path(root) / "features"
     meta = _load_json(ft_dir / f"{segment_id}.json")
-    f, t = int(meta["features"]), int(meta["samples"])
-    bin_path = ft_dir / f"{segment_id}.bin"
-    raw = bin_path.read_bytes()
-    expect = f * t * 4
-    if len(raw) != expect:
-        raise DatasetFormatError(
-            f"{bin_path}: expected {expect} bytes for {f}x{t} float32, found {len(raw)}"
-        )
-    arr = np.frombuffer(raw, dtype="<f4").reshape(f, t).astype(np.float32)
+    arr = _read_matrix(ft_dir / f"{segment_id}.bin", int(meta["features"]),
+                       int(meta["samples"]))
     return arr, float(meta["feature_rate"])
 
 

@@ -109,8 +109,7 @@ class DataPipeline:
             if rec.sample_rate != WORKING_RATE:
                 rec = Recording(
                     rec.recording_id, rec.subject_id, rec.channel_names, rec.positions,
-                    preprocessing.resample(rec.signal, rec.sample_rate, WORKING_RATE)
-                    .astype(np.float32),
+                    preprocessing.resample(rec.signal, rec.sample_rate, WORKING_RATE),
                     WORKING_RATE,
                 )
             if self.positions is None:

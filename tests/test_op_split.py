@@ -1,0 +1,362 @@
+"""conv1d, batchnorm1d, gelu and glu against the serial bodies they replaced.
+
+The ops split their per-sample work over the calling thread and one pool
+thread. Splitting must not change a bit: outputs, every gradient and the
+BatchNorm running statistics are compared byte for byte with the oracles
+below, with the split forced on (two CPUs, no size floor) and forced off
+(one CPU).
+"""
+
+import math
+import multiprocessing
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from brainspeech.brain_net import BrainNet, BrainNetConfig
+from brainspeech.numerics import AdamState, BatchNormState, Tensor, adam_step, ops
+from brainspeech.objective import clip_loss_batch
+
+# ---------------------------------------------------------------------------
+# Oracles: the serial op bodies of the previous release, as plain numpy.
+# ---------------------------------------------------------------------------
+
+
+def conv1d_oracle(x, w, b, dilation, g):
+    """np.pad im2col, one batched matmul, tensordot dW and a padded col2im."""
+    batch, cin, t = x.shape
+    cout, _, k = w.shape
+    pad = dilation * (k - 1) // 2
+
+    def im2col(x):
+        if k == 1:
+            return np.ascontiguousarray(x)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+        cols4 = np.empty((batch, cin, k, t), dtype=x.dtype)
+        for j in range(k):
+            cols4[:, :, j, :] = xp[:, :, j * dilation : j * dilation + t]
+        return cols4.reshape(batch, cin * k, t)
+
+    w2 = w.reshape(cout, cin * k)
+    out = np.matmul(w2, im2col(x))
+    if b is not None:
+        out += b[:, None]
+    dw = np.tensordot(g, im2col(x), axes=([0, 2], [0, 2])).reshape(cout, cin, k)
+    db = None if b is None else g.sum(axis=(0, 2))
+    dcols = np.matmul(w2.T, g)
+    if k == 1:
+        dx = dcols
+    else:
+        dcols = dcols.reshape(batch, cin, k, t)
+        dxp = np.zeros((batch, cin, t + 2 * pad), dtype=x.dtype)
+        for j in range(k):
+            dxp[:, :, j * dilation : j * dilation + t] += dcols[:, :, j, :]
+        dx = dxp[:, :, pad : pad + t]
+    return out, dx, dw, db
+
+
+def batchnorm_train_oracle(x, gamma, beta, state, g):
+    """Train-mode batch norm; returns out, dx, dgamma, dbeta, running mean, running var."""
+    batch, _, t = x.shape
+    n = batch * t
+    mu = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
+    inv = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x - mu[:, None]) * inv[:, None]
+    out = gamma[:, None] * xhat + beta[:, None]
+    m = state.momentum
+    unbiased = var * n / max(n - 1, 1)
+    running_mean = (1 - m) * state.running_mean + m * mu.astype(state.running_mean.dtype)
+    running_var = (1 - m) * state.running_var + m * unbiased.astype(state.running_var.dtype)
+    dgamma = (g * xhat).sum(axis=(0, 2))
+    dbeta = g.sum(axis=(0, 2))
+    dxhat = g * gamma[:, None]
+    s1 = dxhat.sum(axis=(0, 2), keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
+    dx = (inv[:, None] / n) * (n * dxhat - s1 - xhat * s2)
+    return out, dx, dgamma, dbeta, running_mean, running_var
+
+
+def batchnorm_eval_oracle(x, gamma, beta, state, g):
+    """Eval-mode batch norm from the running statistics; returns out, dx, dgamma, dbeta."""
+    rinv = 1.0 / np.sqrt(state.running_var + state.eps)
+    scale_c = (gamma * rinv)[:, None]
+    xhat = (x - state.running_mean[:, None]) * rinv[:, None]
+    out = gamma[:, None] * xhat + beta[:, None]
+    return out, g * scale_c, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))
+
+
+def gelu_oracle(x, g):
+    # Python-float constants keep float32 in float32 (NEP 50)
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def glu_oracle(x, g):
+    half = x.shape[1] // 2
+    a, gate = x[:, :half], x[:, half:]
+    sig = 1.0 / (1.0 + np.exp(-gate))
+    dx = np.empty_like(x)
+    dx[:, :half] = g * sig
+    dx[:, half:] = g * a * sig * (1.0 - sig)
+    return a * sig, dx
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def run_op(fn, arrays, g, grads=None):
+    """Forward ``fn`` on tensors holding ``arrays`` and backpropagate ``g``.
+
+    ``grads`` says which inputs require a gradient (default: all). The loss
+    is the inner product of the output with ``g``, so the output gradient is
+    exactly ``g``.
+    """
+    grads = grads or [True] * len(arrays)
+    tensors = [None if a is None else Tensor(a, requires_grad=r) for a, r in zip(arrays, grads)]
+    out = fn(*tensors)
+    ops.inner_product_full(out, Tensor(g)).backward()
+    return out.data, [None if t is None else t.grad for t in tensors]
+
+
+@pytest.fixture(params=["inline", "split"])
+def split_mode(request, monkeypatch):
+    """Force the two-way split on (two CPUs, no size floor) or off (one CPU)."""
+    cpus = 2 if request.param == "split" else 1
+    monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ops, "_SPLIT_MIN_SIZE", 0)
+    split = ops._TwoWaySplit()
+    monkeypatch.setattr(ops, "_split", split)
+    yield request.param
+    if split._pool is not None:
+        split._pool.shutdown()
+
+
+DTYPES = [np.float32, np.float64]
+BATCHES = [1, 2, 3, 8]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dilation", [1, 2, 4, 16])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv1d_bitwise_matches_serial_oracle(split_mode, k, dilation, dtype):
+    # T=12 with dilation 16 pads by at least T: some taps read only zeros
+    rng = np.random.default_rng(k * 100 + dilation)
+    cin, cout, t = 5, 7, 12
+    w = rng.normal(size=(cout, cin, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    for batch in BATCHES:
+        x = rng.normal(size=(batch, cin, t)).astype(dtype)
+        g = rng.normal(size=(batch, cout, t)).astype(dtype)
+        out, (dx, dw, db) = run_op(lambda x_, w_, b_: ops.conv1d(x_, w_, b_, dilation=dilation),
+                                   [x, w, b], g)
+        want = conv1d_oracle(x, w, b, dilation, g)
+        for name, got_, want_ in zip(("out", "dx", "dw", "db"), (out, dx, dw, db), want):
+            assert_bitwise(got_, want_, f"{name} B={batch}")
+    assert (ops._split._pool is not None) == (split_mode == "split")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv1d_without_bias_or_input_grad(split_mode, dtype):
+    # three output channels: dW's rows are not split into a one-row GEMV
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 4, 20)).astype(dtype)
+    w = rng.normal(size=(3, 4, 3)).astype(dtype)
+    g = rng.normal(size=(3, 3, 20)).astype(dtype)
+    want_out, want_dx, want_dw, _ = conv1d_oracle(x, w, None, 2, g)
+    out, (dx, dw, _) = run_op(lambda x_, w_, b_: ops.conv1d(x_, w_, dilation=2),
+                              [x, w, None], g)
+    assert_bitwise(out, want_out, "out")
+    assert_bitwise(dx, want_dx, "dx")
+    assert_bitwise(dw, want_dw, "dw")
+    out, (dx, dw, _) = run_op(lambda x_, w_, b_: ops.conv1d(x_, w_, dilation=2),
+                              [x, w, None], g, grads=[False, True, False])
+    assert dx is None
+    assert_bitwise(dw, want_dw, "dw without input grad")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm1d_train_bitwise_matches_serial_oracle(split_mode, dtype):
+    rng = np.random.default_rng(4)
+    gamma = rng.normal(size=6).astype(dtype)
+    beta = rng.normal(size=6).astype(dtype)
+    for batch in BATCHES[1:]:  # train mode needs two samples
+        x = (rng.normal(size=(batch, 6, 12)) * 3 + 1).astype(dtype)
+        g = rng.normal(size=(batch, 6, 12)).astype(dtype)
+        state, ref = BatchNormState(6, dtype=dtype), BatchNormState(6, dtype=dtype)
+        want = batchnorm_train_oracle(x, gamma, beta, ref, g)
+        out, (dx, dgamma, dbeta) = run_op(
+            lambda x_, g_, b_: ops.batchnorm1d(x_, g_, b_, state, training=True),
+            [x, gamma, beta], g)
+        got = (out, dx, dgamma, dbeta, state.running_mean, state.running_var)
+        for name, got_, want_ in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
+            assert_bitwise(got_, want_, f"{name} B={batch}")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm1d_eval_bitwise_matches_serial_oracle(split_mode, dtype):
+    rng = np.random.default_rng(5)
+    gamma = rng.normal(size=6).astype(dtype)
+    beta = rng.normal(size=6).astype(dtype)
+    state = BatchNormState(6, dtype=dtype)
+    ops.batchnorm1d(Tensor(rng.normal(size=(4, 6, 12)).astype(dtype)), Tensor(gamma),
+                    Tensor(beta), state, training=True)
+    for batch in BATCHES:
+        x = rng.normal(size=(batch, 6, 12)).astype(dtype)
+        g = rng.normal(size=(batch, 6, 12)).astype(dtype)
+        want = batchnorm_eval_oracle(x, gamma, beta, state, g)
+        out, grads = run_op(lambda x_, g_, b_: ops.batchnorm1d(x_, g_, b_, state, training=False),
+                            [x, gamma, beta], g)
+        for name, got_, want_ in zip(("out", "dx", "dgamma", "dbeta"), [out, *grads], want):
+            assert_bitwise(got_, want_, f"{name} B={batch}")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_and_glu_bitwise_match_serial_oracles(split_mode, dtype):
+    rng = np.random.default_rng(6)
+    # 6x12 and 40x37 per sample leave partial SIMD vectors at the ends of each half
+    for shape in [(b, 6, 12) for b in BATCHES] + [(3, 40, 37), (7,), ()]:
+        x = (rng.normal(size=shape) * 3).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        out, (dx,) = run_op(ops.gelu, [x], g)
+        want_out, want_dx = gelu_oracle(x, g)
+        assert_bitwise(out, want_out, f"gelu out {shape}")
+        assert_bitwise(dx, want_dx, f"gelu dx {shape}")
+        if len(shape) == 3:
+            gh = g[:, : shape[1] // 2]
+            out, (dx,) = run_op(ops.glu, [x], gh)
+            want_out, want_dx = glu_oracle(x, gh)
+            assert_bitwise(out, want_out, f"glu out {shape}")
+            assert_bitwise(dx, want_dx, f"glu dx {shape}")
+
+
+# ---------------------------------------------------------------------------
+# The pool itself
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_split(monkeypatch):
+    """A new, not yet started split with no size floor."""
+    split = ops._TwoWaySplit()
+    monkeypatch.setattr(ops, "_split", split)
+    monkeypatch.setattr(ops, "_SPLIT_MIN_SIZE", 0)
+    yield split
+    if split._pool is not None:
+        split._pool.shutdown()
+
+
+def conv_gelu_glu_step(seed=0):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(4, 6, 30)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 6, 3)).astype(np.float32), requires_grad=True)
+    out = ops.glu(ops.gelu(ops.conv1d(x, w, dilation=2)))
+    ops.mean_all(out).backward()
+    return x.grad
+
+
+def test_one_cpu_runs_inline_and_starts_no_thread(fresh_split, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created with one usable CPU")
+
+    monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(ops, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    conv_gelu_glu_step()
+    assert fresh_split._pool is None
+    assert threading.active_count() == before
+
+
+def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatch):
+    monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    cfg = BrainNetConfig(in_channels=32, out_features=16, n_subjects=2, d1=32, d2=32,
+                         harmonics=8)
+    net = BrainNet(cfg, np.random.default_rng(1))
+    params = list(net.parameters())
+    adam = AdamState(params)
+    rng = np.random.default_rng(2)
+    positions = rng.uniform(0.1, 0.9, size=(32, 2))
+    for step in range(2):
+        x = Tensor(rng.normal(size=(4, 32, 120)).astype(np.float32))
+        y = Tensor(rng.normal(size=(4, 16, 120)).astype(np.float32))
+        z = net.forward(x, np.array([0, 1, 0, 1]), positions, training=True, rng=rng)
+        clip_loss_batch(z, y).backward()
+        adam_step(params, adam)
+    assert fresh_split._pool is not None
+    assert threading.active_count() <= before + 1
+
+
+def test_concurrent_callers_share_one_pool(fresh_split, monkeypatch):
+    """Six threads on two CPUs with a short switch interval: one pool thread
+    is started and every caller gets the result of a sequential run."""
+    created = []
+    executor = ops.ThreadPoolExecutor
+
+    def counting_executor(*args, **kwargs):
+        created.append(1)
+        return executor(*args, **kwargs)
+
+    def slow_two_cpus():
+        time.sleep(0.01)  # widens the window between the pool check and its creation
+        return 2
+
+    monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(ops, "_split", ops._TwoWaySplit())
+    want = [conv_gelu_glu_step(seed).tobytes() for seed in range(2)]
+    monkeypatch.setattr(ops, "_split", fresh_split)
+    monkeypatch.setattr(ops, "_usable_cpus", slow_two_cpus)
+    monkeypatch.setattr(ops, "ThreadPoolExecutor", counting_executor)
+    before = threading.active_count()
+    results = {}
+
+    def caller(i):
+        results[i] = conv_gelu_glu_step(i % 2).tobytes()
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(created) == 1
+    assert threading.active_count() <= before + 1
+    assert results == {i: want[i % 2] for i in range(6)}
+
+
+def _child_step(queue):
+    queue.put(conv_gelu_glu_step().tobytes())
+
+
+def test_forked_child_gets_its_own_pool(fresh_split, monkeypatch):
+    monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    want = conv_gelu_glu_step()  # starts the parent's pool thread
+    assert fresh_split._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_child_step, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert got == want.tobytes()
+    assert child.exitcode == 0
