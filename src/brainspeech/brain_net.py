@@ -30,16 +30,18 @@ from .numerics import (
     subject_mix,
 )
 
-ABLATION_FLAGS = (
-    "spatial-attention-dropout",
-    "relu",
-    "final-convs",
-    "glu-conv",
-    "skip-connections",
-    "initial-conv",
-    "spatial-attention",
-    "subject-layer",
-)
+# ablation flag -> config change; each flag disables exactly one piece
+_ABLATIONS = {
+    "spatial-attention-dropout": {"use_spatial_dropout": False},
+    "relu": {"activation": "relu"},
+    "final-convs": {"use_final_convs": False},
+    "glu-conv": {"use_glu_conv": False},
+    "skip-connections": {"use_skip_connections": False},
+    "initial-conv": {"use_initial_conv": False},
+    "spatial-attention": {"use_spatial_attention": False},
+    "subject-layer": {"use_subject_layer": False},
+}
+ABLATION_FLAGS = tuple(_ABLATIONS)
 
 
 @dataclass
@@ -84,35 +86,18 @@ class BrainNetConfig:
 
 
 def build_ablation(config: BrainNetConfig, flag: str) -> BrainNetConfig:
-    """Config for one ablated variant; each flag disables exactly one piece."""
-    mapping = {
-        "spatial-attention-dropout": {"use_spatial_dropout": False},
-        "relu": {"activation": "relu"},
-        "final-convs": {"use_final_convs": False},
-        "glu-conv": {"use_glu_conv": False},
-        "skip-connections": {"use_skip_connections": False},
-        "initial-conv": {"use_initial_conv": False},
-        "spatial-attention": {"use_spatial_attention": False},
-        "subject-layer": {"use_subject_layer": False},
-    }
-    if flag not in mapping:
+    """Config for one ablated variant."""
+    if flag not in _ABLATIONS:
         raise ValueError(f"unknown ablation flag {flag!r}; choose from {ABLATION_FLAGS}")
-    return replace(config, **mapping[flag])
+    return replace(config, **_ABLATIONS[flag])
 
 
 def dilation_schedule(blocks: int) -> List[Tuple[int, int]]:
     return [(2 ** ((2 * k) % 5), 2 ** ((2 * k + 1) % 5)) for k in range(blocks)]
 
 
-def receptive_field_radius(config: BrainNetConfig) -> int:
-    """Input samples around t that can influence output sample t."""
-    per_tap = (config.kernel - 1) // 2
-    radius = 0
-    for d_a, d_b in dilation_schedule(config.blocks):
-        radius += (d_a + d_b) * per_tap
-        if config.use_glu_conv:
-            radius += per_tap
-    return radius
+def rescaled_positions(positions: np.ndarray, margin: float) -> np.ndarray:
+    return margin + (1.0 - 2.0 * margin) * np.asarray(positions, dtype=np.float64)
 
 
 def fourier_basis(positions: np.ndarray, harmonics: int, margin: float,
@@ -123,7 +108,7 @@ def fourier_basis(positions: np.ndarray, harmonics: int, margin: float,
         raise ValueError("positions must be (C, 2)")
     if pos.min() < 0.0 or pos.max() > 1.0:
         raise ValueError("positions must lie in [0, 1]^2")
-    scaled = margin + (1.0 - 2.0 * margin) * pos
+    scaled = rescaled_positions(pos, margin)
     k = np.arange(1, harmonics + 1)
     # phase[(k,l), i] = 2*pi*(k*x_i + l*y_i)
     phase = 2.0 * np.pi * (
@@ -131,10 +116,6 @@ def fourier_basis(positions: np.ndarray, harmonics: int, margin: float,
         + k[None, :, None] * scaled[None, None, :, 1]
     ).reshape(harmonics * harmonics, -1)
     return np.cos(phase).astype(dtype), np.sin(phase).astype(dtype)
-
-
-def rescaled_positions(positions: np.ndarray, margin: float) -> np.ndarray:
-    return margin + (1.0 - 2.0 * margin) * np.asarray(positions, dtype=np.float64)
 
 
 class NonFiniteActivation(RuntimeError):
@@ -202,13 +183,6 @@ class BrainNet:
 
     def parameters(self) -> List[Tensor]:
         return list(self.params.values())
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def _act(self, t: Tensor) -> Tensor:
         return gelu(t) if self.config.activation == "gelu" else relu(t)

@@ -12,13 +12,14 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .brain_net import BrainNet, BrainNetConfig
-from .numerics import AdamState, BatchNormState
+from .numerics import AdamState
 from .preprocessing import ScalerParams
 from .speech import FeatureStats
 
@@ -41,6 +42,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def _entries(brain: BrainNet, deep_mel: Optional[BrainNet], attr: str) -> List[tuple]:
+    """(checkpoint name, tensor or BN state) of both nets, in file order."""
+    nets = [("", brain)] + ([("deepmel.", deep_mel)] if deep_mel is not None else [])
+    return [(prefix + key, getattr(net, attr)[key])
+            for prefix, net in nets for key in sorted(getattr(net, attr))]
+
+
 def save_checkpoint(
     out_dir,
     brain: BrainNet,
@@ -54,41 +62,29 @@ def save_checkpoint(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    nets = [("", brain)] + ([("deepmel.", deep_mel)] if deep_mel is not None else [])
-    entries = []
-    blobs = []
-    for prefix, net in nets:
-        for key in sorted(net.params):
-            p = net.params[key]
-            entries.append({"name": prefix + key, "shape": list(p.shape)})
-            blobs.append(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    _atomic_write(out_dir / "params.bin", b"".join(blobs))
+    params = _entries(brain, deep_mel, "params")
+    entries = [{"name": name, "shape": list(p.shape)} for name, p in params]
+    _atomic_write(out_dir / "params.bin",
+                  b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+                           for _, p in params))
 
     bn_entries = []
     bn_blobs = []
-    for prefix, net in nets:
-        for key in sorted(net.bn_states):
-            st = net.bn_states[key]
-            bn_entries.append(
-                {"name": prefix + key, "channels": int(st.running_mean.shape[0]),
-                 "initialized": bool(st.initialized), "momentum": st.momentum,
-                 "eps": st.eps}
-            )
-            bn_blobs.append(np.ascontiguousarray(st.running_mean, dtype="<f4").tobytes())
-            bn_blobs.append(np.ascontiguousarray(st.running_var, dtype="<f4").tobytes())
+    for name, st in _entries(brain, deep_mel, "bn_states"):
+        bn_entries.append(
+            {"name": name, "channels": int(st.running_mean.shape[0]),
+             "initialized": bool(st.initialized), "momentum": st.momentum,
+             "eps": st.eps}
+        )
+        bn_blobs.append(np.ascontiguousarray(st.running_mean, dtype="<f4").tobytes())
+        bn_blobs.append(np.ascontiguousarray(st.running_var, dtype="<f4").tobytes())
     _atomic_write(out_dir / "bn.bin", b"".join(bn_blobs))
 
     if adam is not None:
-        adam_blobs = []
-        for prefix, net in nets:
-            for key in sorted(net.params):
-                name = net.params[key].name
-                adam_blobs.append(np.ascontiguousarray(adam.m[name], dtype="<f4").tobytes())
-        for prefix, net in nets:
-            for key in sorted(net.params):
-                name = net.params[key].name
-                adam_blobs.append(np.ascontiguousarray(adam.v[name], dtype="<f4").tobytes())
-        _atomic_write(out_dir / "adam.bin", b"".join(adam_blobs))
+        _atomic_write(out_dir / "adam.bin", b"".join(
+            np.ascontiguousarray(moments[p.name], dtype="<f4").tobytes()
+            for moments in (adam.m, adam.v) for _, p in params
+        ))
 
     manifest = {
         "format": 1,
@@ -111,11 +107,31 @@ def save_checkpoint(
     return out_dir
 
 
+def _read_blob(path: Path, stored: List[tuple], rebuilt: List[tuple]) -> bytes:
+    """The blob whose manifest entries ``stored`` must equal the rebuilt net's
+    (name, shape) list, in order, and whose length must match those shapes."""
+    for i, (entry, want) in enumerate(zip_longest(stored, rebuilt)):
+        if entry != want:
+            raise ValueError(f"manifest.json: {path.stem} entry {i} is {entry} but the "
+                             f"rebuilt net has {want}")
+    raw = path.read_bytes()
+    expected = 4 * sum(int(np.prod(shape)) for _, shape in rebuilt)
+    if len(raw) != expected:
+        raise ValueError(f"{path.name}: expected {expected} bytes per manifest, found {len(raw)}")
+    return raw
+
+
 def load_checkpoint(ckpt_dir) -> dict:
-    """Rebuild networks and preprocessing state from a checkpoint directory."""
+    """Rebuild networks and preprocessing state from a checkpoint directory.
+
+    Raises ``ValueError`` unless the manifest is format 1, names exactly the
+    rebuilt networks' parameters and BatchNorm layers with their shapes, and
+    every blob holds as many bytes as the manifest says.
+    """
     ckpt_dir = Path(ckpt_dir)
     manifest = json.loads((ckpt_dir / "manifest.json").read_text())
-    raw = (ckpt_dir / "params.bin").read_bytes()
+    if manifest.get("format") != 1:
+        raise ValueError(f"manifest.json: checkpoint format {manifest.get('format')!r} is not 1")
 
     brain = BrainNet(BrainNetConfig.from_dict(manifest["brain_config"]),
                      np.random.default_rng(0))
@@ -124,44 +140,29 @@ def load_checkpoint(ckpt_dir) -> dict:
         deep_mel = BrainNet(BrainNetConfig.from_dict(manifest["deep_mel_config"]),
                             np.random.default_rng(0), prefix="deepmel.")
 
-    by_name: Dict[str, Tuple[BrainNet, str]] = {}
-    for key in brain.params:
-        by_name[key] = (brain, key)
-    if deep_mel is not None:
-        for key in deep_mel.params:
-            by_name["deepmel." + key] = (deep_mel, key)
-
+    params = _entries(brain, deep_mel, "params")
+    raw = _read_blob(ckpt_dir / "params.bin",
+                     [(e["name"], tuple(e["shape"])) for e in manifest["params"]],
+                     [(name, p.shape) for name, p in params])
     offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 4
-        arr = np.frombuffer(raw[offset : offset + size], dtype="<f4").reshape(shape)
-        net, key = by_name[entry["name"]]
-        net.params[key].data = arr.astype(np.float32).copy()
-        offset += size
-    if offset != len(raw):
-        raise ValueError(
-            f"params.bin: expected {offset} bytes per manifest, found {len(raw)}"
-        )
+    for _, p in params:
+        p.data = np.frombuffer(raw, "<f4", p.size, offset).reshape(p.shape).astype(np.float32)
+        offset += 4 * p.size
 
-    bn_raw = (ckpt_dir / "bn.bin").read_bytes()
+    states = _entries(brain, deep_mel, "bn_states")
+    bn_raw = _read_blob(ckpt_dir / "bn.bin",
+                        [(e["name"], (2, e["channels"])) for e in manifest["bn"]],
+                        [(name, (2, st.running_mean.shape[0])) for name, st in states])
     offset = 0
-    for entry in manifest["bn"]:
+    for entry, (_, st) in zip(manifest["bn"], states):
         c = entry["channels"]
-        name = entry["name"]
-        net = deep_mel if name.startswith("deepmel.") else brain
-        key = name[len("deepmel."):] if name.startswith("deepmel.") else name
-        st = BatchNormState(c, momentum=entry["momentum"], eps=entry["eps"])
-        st.running_mean = np.frombuffer(bn_raw[offset : offset + 4 * c], "<f4").astype(
-            np.float32
-        )
-        offset += 4 * c
-        st.running_var = np.frombuffer(bn_raw[offset : offset + 4 * c], "<f4").astype(
-            np.float32
-        )
-        offset += 4 * c
+        st.running_mean, st.running_var = np.frombuffer(
+            bn_raw, "<f4", count=2 * c, offset=offset
+        ).reshape(2, c).astype(np.float32)
+        st.momentum = entry["momentum"]
+        st.eps = entry["eps"]
         st.initialized = entry["initialized"]
-        net.bn_states[key] = st
+        offset += 8 * c
 
     return {
         "manifest": manifest,

@@ -42,8 +42,8 @@ from .evaluation import (
     word_level_eval,
     zero_shot_split,
 )
-from .pipeline import DataConfig, DataPipeline
-from .training import TrainingAborted, train
+from .pipeline import DataPipeline
+from .training import TrainingAborted, data_config_from, train
 
 logger = logging.getLogger(__name__)
 
@@ -157,16 +157,7 @@ def cmd_train(args) -> int:
 
 
 def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
-    cfg = ckpt["config"]
-    data_cfg = DataConfig(
-        representation=cfg["speech"]["representation"],
-        n_mels=cfg["speech"]["n_mels"],
-        window_s=cfg["dataset"]["window_s"],
-        anchor_s=cfg["dataset"]["anchor_s"],
-        shift_s=cfg["dataset"]["shift_s"],
-        baseline_s=cfg["preprocessing"]["baseline_s"],
-        clamp=cfg["preprocessing"]["clamp"],
-    )
+    data_cfg = data_config_from(Config.from_dict(ckpt["config"]))
     manifest = dataset_io.read_manifest(Path(dataset_root))
     if abs(float(manifest.get("window_s", data_cfg.window_s)) - data_cfg.window_s) > 1e-9:
         raise CliError(

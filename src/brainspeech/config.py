@@ -11,10 +11,10 @@ from __future__ import annotations
 import ast
 import configparser
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Optional
 
 from .brain_net import ABLATION_FLAGS
+from .speech import REPRESENTATIONS, SUPPORTED_N_MELS
 
 
 class ConfigError(ValueError):
@@ -82,13 +82,15 @@ class Config:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def validate(self) -> None:
-        if self.speech.representation not in ("mel", "deep-mel", "external"):
+        if self.speech.representation not in REPRESENTATIONS:
             raise ConfigError(
                 f"speech.representation: {self.speech.representation!r} is not one of "
-                "mel, deep-mel, external"
+                + ", ".join(REPRESENTATIONS)
             )
-        if self.speech.n_mels not in (20, 40, 80, 120):
-            raise ConfigError("speech.n_mels: must be one of 20, 40, 80, 120")
+        if self.speech.n_mels not in SUPPORTED_N_MELS:
+            raise ConfigError(
+                "speech.n_mels: must be one of " + ", ".join(map(str, SUPPORTED_N_MELS))
+            )
         if self.training.objective not in ("clip", "regression"):
             raise ConfigError("training.objective: must be clip or regression")
         if self.training.objective == "regression" and self.speech.representation != "mel":
@@ -108,6 +110,16 @@ class Config:
             sub = getattr(self, sec.name)
             out[sec.name] = {f.name: _plain(getattr(sub, f.name)) for f in fields(sub)}
         return out
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "Config":
+        """Inverse of :meth:`to_dict`, e.g. for the config a checkpoint stores."""
+        config = cls()
+        for section, values in obj.items():
+            for key, value in values.items():
+                sub = _section(config, section, key)
+                setattr(sub, key, tuple(value) if isinstance(value, list) else value)
+        return config
 
 
 def _plain(v):
@@ -136,12 +148,18 @@ def _coerce(raw: str, current):
     return raw
 
 
-def _apply(config: Config, section: str, key: str, raw: str) -> None:
+def _section(config: Config, section: str, key: str):
+    """The section object that holds ``section.key``."""
     if not hasattr(config, section):
         raise ConfigError(f"unknown config section [{section}]")
     sub = getattr(config, section)
     if not hasattr(sub, key):
         raise ConfigError(f"unknown config key {section}.{key}")
+    return sub
+
+
+def _apply(config: Config, section: str, key: str, raw: str) -> None:
+    sub = _section(config, section, key)
     try:
         setattr(sub, key, _coerce(raw, getattr(sub, key)))
     except (ValueError, SyntaxError) as exc:
@@ -166,15 +184,3 @@ def load_config(path: Optional[str] = None, overrides: Optional[list] = None) ->
         _apply(config, section.strip(), key.strip(), raw)
     config.validate()
     return config
-
-
-def dump_config(config: Config, path: Path) -> None:
-    parser = configparser.ConfigParser()
-    for sec in fields(config):
-        sub = getattr(config, sec.name)
-        parser[sec.name] = {
-            f.name: ("none" if getattr(sub, f.name) is None else str(_plain(getattr(sub, f.name))))
-            for f in fields(sub)
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)

@@ -1,5 +1,5 @@
 from .types import Recording, Sample, SpeechSegment, SplitAssignment, WordEvent, SPLITS
-from .splits import build_splits, normalize_token, vocabulary, word_overlap
+from .splits import build_splits, normalize_token, vocabulary
 from .windows import WindowOutOfBounds, extract_sample, try_extract_sample, WORKING_RATE
 from .synthetic import SynthSpec, generate_synthetic, segment_onset
 from . import io
@@ -22,5 +22,4 @@ __all__ = [
     "segment_onset",
     "try_extract_sample",
     "vocabulary",
-    "word_overlap",
 ]

@@ -198,10 +198,6 @@ def read_splits(root: Path) -> SplitAssignment:
     )
 
 
-def subject_index(manifest: dict) -> Dict[str, int]:
-    return {name: i for i, name in enumerate(manifest["subjects"])}
-
-
 def recording_ids(root: Path) -> List[str]:
     rec_dir = Path(root) / "recordings"
     if not rec_dir.is_dir():

@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .types import SpeechSegment, SplitAssignment
+from .types import SPLITS, SpeechSegment, SplitAssignment
 
 _PUNCT = string.punctuation + "‘’“”"
 
@@ -64,7 +64,7 @@ def build_splits(
     # drop lower-priority segments that overlap a retained higher-priority one
     excluded: List[int] = []
     kept_spans: List[Tuple[float, float]] = []
-    for split in ("train", "valid", "test"):
+    for split in SPLITS:
         tier = [sid for sid in ids if assignment.get(sid) == split]
         new_spans = []
         for sid in tier:
@@ -91,9 +91,3 @@ def build_splits(
 def vocabulary(words: Iterable[str]) -> Set[str]:
     return {normalize_token(w) for w in words if normalize_token(w)}
 
-
-def word_overlap(train_vocab: Set[str], test_vocab: Set[str]) -> float:
-    """|test ∩ train| / |test| over normalized tokens."""
-    if not test_vocab:
-        raise ValueError("word_overlap: empty test vocabulary")
-    return len(test_vocab & train_vocab) / len(test_vocab)

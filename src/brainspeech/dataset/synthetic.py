@@ -12,7 +12,7 @@ lossier form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io
 from .splits import build_splits
-from .types import SpeechSegment, WordEvent
+from .types import SPLITS, SpeechSegment, WordEvent
 from .windows import WORKING_RATE
 
 RESPONSE_DELAY_S = 0.150
@@ -237,5 +237,5 @@ def generate_synthetic(spec: SynthSpec, out_dir: Path) -> Dict:
         "root": str(out_dir),
         "segments": spec.segments,
         "subjects": subjects,
-        "splits": {s: len(splits.ids_in(s)) for s in ("train", "valid", "test")},
+        "splits": {s: len(splits.ids_in(s)) for s in SPLITS},
     }

@@ -6,9 +6,8 @@ import wave
 from pathlib import Path
 from typing import List
 
-import numpy as np
-
 from . import io
+from .types import SPLITS
 
 
 def validate_dataset(root) -> List[str]:
@@ -30,7 +29,7 @@ def validate_dataset(root) -> List[str]:
     except io.DatasetFormatError as exc:
         return [str(exc)]
     for sid, split in splits.assignment.items():
-        if split not in ("train", "valid", "test"):
+        if split not in SPLITS:
             problems.append(f"splits.json: segment {sid} has unknown split {split!r}")
 
     rec_ids = io.recording_ids(root)

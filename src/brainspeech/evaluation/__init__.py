@@ -1,7 +1,6 @@
 from .scoring import (
     EvalReport,
     WordLevelResult,
-    isolated_word_eval,
     mel_reconstruction,
     per_subject_topk,
     restricted_candidates,
@@ -25,7 +24,6 @@ __all__ = [
     "StatResult",
     "WordLevelResult",
     "cross_validated_r",
-    "isolated_word_eval",
     "mann_whitney_u",
     "mel_reconstruction",
     "pearson_r",

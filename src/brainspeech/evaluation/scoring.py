@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..brain_net import BrainNet
 from ..dataset.splits import normalize_token
-from ..dataset.windows import WORKING_RATE
 from ..numerics import Tensor, no_grad
 from ..objective import (
     clip_scores_eval,
@@ -236,33 +235,3 @@ def mel_reconstruction(report: EvalReport, candidate_mels: np.ndarray) -> np.nda
         )
     return np.tensordot(report.probs, candidate_mels, axes=(1, 0))
 
-
-def isolated_word_eval(
-    brain: BrainNet,
-    pipeline: DataPipeline,
-    checkpoint_window_s: float,
-    objective: str = "clip",
-    deep_mel: Optional[BrainNet] = None,
-    restrict_n: Optional[int] = 50,
-    seed: int = 0,
-) -> dict:
-    """Same scoring pipeline on short word-anchored windows.
-
-    The checkpoint must have been trained at the pipeline's window length;
-    a 3 s checkpoint cannot score 0.8 s windows.
-    """
-    window = pipeline.window_samples
-    if window != int(round(checkpoint_window_s * WORKING_RATE)):
-        raise ValueError(
-            f"checkpoint was trained on {checkpoint_window_s}s windows but the dataset "
-            f"uses {pipeline.config.window_s}s; train a matching-window model"
-        )
-    report = score_test_set(brain, pipeline, objective=objective, deep_mel=deep_mel)
-    out = {
-        "window_samples": window,
-        "top1": topk_accuracy(report, 1),
-        "top10": topk_accuracy(report, min(10, report.n_candidates)),
-    }
-    if restrict_n is not None and restrict_n < report.n_candidates:
-        out["restricted"] = restricted_candidates(report, n=restrict_n, seed=seed)
-    return out

@@ -57,9 +57,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into this tensor's gradient buffer.
 
@@ -124,10 +121,6 @@ class Tensor:
 def parameter(data, name: str) -> Tensor:
     """A learnable leaf tensor."""
     return Tensor(np.asarray(data), requires_grad=True, name=name)
-
-
-def constant(data) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=False)
 
 
 _grad_enabled = True

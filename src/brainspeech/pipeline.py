@@ -8,7 +8,7 @@ split.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -16,9 +16,10 @@ import numpy as np
 
 from . import preprocessing
 from .dataset import io as dataset_io
-from .dataset.types import Recording, Sample, SpeechSegment
+from .dataset.types import SPLITS, Recording, Sample, SpeechSegment
 from .dataset.windows import WORKING_RATE, try_extract_sample
 from .speech import (
+    REPRESENTATIONS,
     FeatureStats,
     align_feature_rate,
     load_external_features,
@@ -65,21 +66,6 @@ class DataConfig:
     baseline_s: float = 0.5
     clamp: Optional[float] = 20.0
 
-    def to_dict(self) -> dict:
-        return {
-            "representation": self.representation,
-            "n_mels": self.n_mels,
-            "window_s": self.window_s,
-            "anchor_s": self.anchor_s,
-            "shift_s": self.shift_s,
-            "baseline_s": self.baseline_s,
-            "clamp": self.clamp,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DataConfig":
-        return cls(**obj)
-
 
 class DataPipeline:
     """Loads one dataset root and serves preprocessed windows and targets."""
@@ -89,7 +75,7 @@ class DataPipeline:
                  feature_stats: Optional[FeatureStats] = None):
         self.root = Path(root)
         self.config = config
-        if config.representation not in ("mel", "deep-mel", "external"):
+        if config.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown speech representation {config.representation!r}")
         self.guard = SplitAccessGuard()
         self.manifest = dataset_io.read_manifest(self.root)
@@ -123,7 +109,7 @@ class DataPipeline:
         if not self.recordings:
             raise ValueError(f"no recordings under {self.root}")
 
-        self._samples: Dict[str, List[Sample]] = {"train": [], "valid": [], "test": []}
+        self._samples: Dict[str, List[Sample]] = {split: [] for split in SPLITS}
         self._collect_samples()
         self.scalers = scalers if scalers is not None else self._fit_scalers()
         self._raw_features: Dict[int, np.ndarray] = {}
@@ -210,12 +196,6 @@ class DataPipeline:
     @property
     def feature_dim(self) -> int:
         return int(next(iter(self.features.values())).shape[0])
-
-    def sample_count(self, split: str) -> int:
-        return len(self._samples[split])
-
-    def split_samples(self, split: str) -> List[Sample]:
-        return list(self._samples[split])
 
     def materialize(self, split: str) -> PreparedSplit:
         """Preprocessed brain windows for every sample of a split."""

@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset.types import Recording
 from .dataset.windows import WORKING_RATE
 
 # Outputs per resampling block, rounded up to a multiple of ``up``. Measured
@@ -154,19 +153,6 @@ class ScalerParams:
     @classmethod
     def from_dict(cls, obj: dict) -> "ScalerParams":
         return cls(q25=obj["q25"], median=obj["median"], q75=obj["q75"])
-
-
-def robust_scale(recording: Recording, params: ScalerParams) -> Recording:
-    if params.q25.shape[0] != recording.n_channels:
-        raise ValueError("scaler fitted for a different channel count")
-    return Recording(
-        recording_id=recording.recording_id,
-        subject_id=recording.subject_id,
-        channel_names=recording.channel_names,
-        positions=recording.positions,
-        signal=params.apply(recording.signal).astype(recording.signal.dtype),
-        sample_rate=recording.sample_rate,
-    )
 
 
 def clamp(signal: np.ndarray, limit: Optional[float] = 20.0) -> np.ndarray:

@@ -4,7 +4,7 @@ from typing import Tuple
 import numpy as np
 
 from ..dataset import io as dataset_io
-from .align import FeatureStats, align_feature_rate, feature_normalize
+from .align import FeatureStats, align_feature_rate
 from .mel import (
     AUDIO_RATE,
     SUPPORTED_N_MELS,
@@ -29,7 +29,6 @@ __all__ = [
     "REPRESENTATIONS",
     "SUPPORTED_N_MELS",
     "align_feature_rate",
-    "feature_normalize",
     "hz_to_mel",
     "load_external_features",
     "log_compress",

@@ -68,7 +68,3 @@ class FeatureStats:
     @classmethod
     def from_dict(cls, obj: dict) -> "FeatureStats":
         return cls(mean=obj["mean"], std=obj["std"])
-
-
-def feature_normalize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    return stats.apply(features)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brainspeech.brain_net import BrainNet, BrainNetConfig, receptive_field_radius
+from brainspeech.brain_net import BrainNet, BrainNetConfig
 from brainspeech.checkpoint import load_checkpoint
 from brainspeech.cli import _pipeline_for_checkpoint, main
 from brainspeech.config import Config
@@ -46,11 +46,13 @@ from brainspeech.numerics import (
     softmax,
     subject_mix,
 )
-from brainspeech.objective import CandidateSet, clip_loss, softmax_rows
+from brainspeech.objective import softmax_rows
 from brainspeech.preprocessing import resample
 from brainspeech.speech import mel_spectrogram
 from brainspeech.training import train
 
+from test_brain_net import receptive_field_radius
+from test_objective import CandidateSet, clip_loss
 from test_speech_features import dft_mel_oracle
 
 

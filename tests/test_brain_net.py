@@ -10,9 +10,23 @@ from brainspeech.brain_net import (
     deep_mel_config,
     dilation_schedule,
     fourier_basis,
-    receptive_field_radius,
 )
 from brainspeech.numerics import Tensor, grad_check, mean_all, gelu
+
+
+def receptive_field_radius(config: BrainNetConfig) -> int:
+    """Input samples around t that can influence output sample t."""
+    per_tap = (config.kernel - 1) // 2
+    radius = 0
+    for d_a, d_b in dilation_schedule(config.blocks):
+        radius += (d_a + d_b) * per_tap
+        if config.use_glu_conv:
+            radius += per_tap
+    return radius
+
+
+def param_count(net: BrainNet) -> int:
+    return sum(p.size for p in net.parameters())
 
 
 def tiny_config(**overrides):
@@ -223,12 +237,12 @@ class TestParamCount:
         want += 10 * 2 * d2                     # batch-norm gamma/beta
         want += 2 * d2 * d2 + 2 * d2            # head conv1
         want += f * 2 * d2 + f                  # head conv2
-        assert net.param_count() == want
+        assert param_count(net) == want
 
     def test_pure_function_of_config(self):
         cfg = tiny_config()
-        a = BrainNet(cfg, np.random.default_rng(1)).param_count()
-        b = BrainNet(cfg, np.random.default_rng(99)).param_count()
+        a = param_count(BrainNet(cfg, np.random.default_rng(1)))
+        b = param_count(BrainNet(cfg, np.random.default_rng(99)))
         assert a == b
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from brainspeech.checkpoint import load_checkpoint, save_checkpoint
-from brainspeech.cli import main
+from brainspeech.cli import _pipeline_for_checkpoint, main
 from brainspeech.config import Config
-from brainspeech.training import train
+from brainspeech.pipeline import DataConfig
+from brainspeech.training import data_config_from, train
 
 
 SYNTH_CFG = """[synth]
@@ -180,6 +181,84 @@ class TestCheckpointRoundtrip:
         a = score_test_set(ckpt["brain"], pipeline)
         b = score_test_set(load_checkpoint(workspace / "run" / "best")["brain"], pipeline)
         np.testing.assert_array_equal(a.probs, b.probs)
+
+
+def _set_format(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["format"] = 2
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _truncate_bn(ckpt):
+    bn = ckpt / "bn.bin"
+    bn.write_bytes(bn.read_bytes()[:-8])
+
+
+def _rename_param(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["params"][-1]["name"] = "head.conv9.b"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _drop_param(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    size = 4 * int(np.prod(manifest["params"].pop()["shape"]))
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    params = ckpt / "params.bin"
+    params.write_bytes(params.read_bytes()[:-size])
+
+
+class TestCheckpointValidation:
+    """A checkpoint that does not match its manifest fails eval with one line."""
+
+    @pytest.mark.parametrize("corrupt, needle", [
+        (_set_format, "checkpoint format 2 is not 1"),
+        (_truncate_bn, "bn.bin: expected"),
+        (_rename_param, "head.conv9.b"),
+        (_drop_param, "is None but the rebuilt net has ('subject.m'"),
+    ], ids=["format", "bn-length", "unknown-param", "missing-param"])
+    def test_eval_rejects(self, workspace, tmp_path, capsys, corrupt, needle):
+        import shutil
+
+        ckpt = tmp_path / "best"
+        shutil.copytree(workspace / "run" / "best", ckpt)
+        corrupt(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                     str(workspace / "data"), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error category=invalid: ")
+        assert needle in err[0]
+
+
+def test_checkpoint_config_maps_to_the_training_pipeline(tmp_path):
+    """eval rebuilds the pipeline config that training used, field for field."""
+    (tmp_path / "spec.cfg").write_text(
+        SYNTH_CFG + "duration = 2.0\nanchor_offset = 0.4\n"
+    )
+    assert main(["synth", "--spec", str(tmp_path / "spec.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    config = Config()
+    config.dataset.root = str(tmp_path / "data")
+    config.dataset.window_s = 2.0
+    config.dataset.anchor_s = 0.4
+    config.dataset.shift_s = 0.1
+    config.preprocessing.baseline_s = 0.3
+    config.preprocessing.clamp = 10.0
+    config.speech.representation = "mel"
+    config.speech.n_mels = 20
+    config.model.d1 = config.model.d2 = 8
+    config.model.harmonics = 2
+    config.training.batch_size = 4
+    config.training.updates_per_epoch = 2
+    config.training.max_epochs = 1
+    want = data_config_from(config)
+    default = DataConfig()
+    assert all(getattr(want, f) != getattr(default, f) for f in vars(default))
+
+    result = train(config, tmp_path / "run")
+    pipeline = _pipeline_for_checkpoint(load_checkpoint(result.checkpoint_dir),
+                                        config.dataset.root)
+    assert pipeline.config == want
 
 
 class TestReconstructionMel:

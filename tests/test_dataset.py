@@ -18,7 +18,6 @@ from brainspeech.dataset import (
     normalize_token,
     segment_onset,
     try_extract_sample,
-    word_overlap,
 )
 
 
@@ -109,19 +108,6 @@ class TestBuildSplits:
 
 
 class TestWordOverlap:
-    def test_basic_fraction(self):
-        assert word_overlap({"a", "b", "c"}, {"b", "c", "d"}) == pytest.approx(2 / 3)
-
-    def test_subset_full_overlap(self):
-        assert word_overlap({"a", "b", "c"}, {"a", "b"}) == 1.0
-
-    def test_disjoint(self):
-        assert word_overlap({"a"}, {"b"}) == 0.0
-
-    def test_empty_test_vocab(self):
-        with pytest.raises(ValueError):
-            word_overlap({"a"}, set())
-
     def test_normalization(self):
         assert normalize_token("  'Hello!'") == "hello"
         assert normalize_token("Don't") == "don't"

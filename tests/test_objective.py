@@ -1,22 +1,91 @@
+"""CLIP objective tests.
+
+The per-trial CLIP path below (one prediction against a candidate set) is an
+independent oracle for ``clip_loss_batch``: the batch loss must equal the mean
+of per-trial losses, and acceptance criterion 2 gradient-checks it.
+"""
+
 import math
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 import pytest
 
-from brainspeech.numerics import Tensor, grad_check
+from brainspeech.numerics import (
+    Tensor,
+    grad_check,
+    inner_product_full,
+    logsumexp,
+    pairwise_inner,
+    reshape,
+    sub,
+)
 from brainspeech.objective import (
-    CandidateSet,
-    batch_negatives,
-    clip_logits,
-    clip_loss,
     clip_loss_batch,
-    clip_loss_from_logits,
     clip_scores_eval,
     regression_loss,
     regression_scores_eval,
     softmax_rows,
     true_ranks,
 )
+
+
+@dataclass
+class CandidateSet:
+    """Candidate feature tensors for one trial plus the positive's index."""
+
+    features: np.ndarray  # (N, F, T)
+    positive: int
+    origin: str = "eval"  # "batch" at train time, "eval" for the full test set
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features)
+        if self.features.ndim != 3 or self.features.shape[0] < 2:
+            raise ValueError("candidate set needs at least two (F, T) tensors")
+        if not (0 <= self.positive < self.features.shape[0]):
+            raise ValueError(f"positive index {self.positive} out of range")
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
+
+
+def clip_logits(z: Tensor, candidates: CandidateSet) -> Tensor:
+    """Score of each candidate: full inner product with one prediction."""
+    if z.shape != candidates.features.shape[1:]:
+        raise ValueError(
+            f"prediction {z.shape} does not match candidates {candidates.features.shape[1:]}"
+        )
+    scores = pairwise_inner(reshape(z, (1,) + z.shape), Tensor(candidates.features))
+    return reshape(scores, (candidates.n,))
+
+
+def clip_loss_from_logits(logits: Tensor, positive: int) -> Tensor:
+    """-score[pos] + logsumexp(scores), max-subtracted for stability."""
+    n = logits.shape[0]
+    if not (0 <= positive < n):
+        raise ValueError(f"positive index {positive} out of range")
+    if not np.all(np.isfinite(logits.data)):
+        raise ValueError("non-finite logits")
+    one_hot = np.zeros(n, dtype=logits.dtype)
+    one_hot[positive] = 1.0
+    pos = inner_product_full(logits, Tensor(one_hot))
+    lse = reshape(logsumexp(reshape(logits, (1, n)), axis=1), ())
+    return sub(lse, pos)
+
+
+def clip_loss(z: Tensor, candidates: CandidateSet) -> Tensor:
+    return clip_loss_from_logits(clip_logits(z, candidates), candidates.positive)
+
+
+def batch_negatives(features: np.ndarray) -> List[CandidateSet]:
+    """Each sample's candidates are the whole batch; duplicates are kept."""
+    features = np.asarray(features)
+    if features.shape[0] < 2:
+        raise ValueError("batch of one has no negatives")
+    return [CandidateSet(features=features, positive=i, origin="batch")
+            for i in range(features.shape[0])]
 
 
 def cross_entropy_oracle(logits, positive):

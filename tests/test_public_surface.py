@@ -1,0 +1,99 @@
+"""Every definition in ``src/brainspeech`` is used by the package itself.
+
+The test walks the package with ``ast`` and collects every module-level
+function and class and every public method of a module-level class. Each
+must be referenced from somewhere in ``src/`` outside its own body: a
+function or class as a loaded name or an attribute, a method as an
+attribute. Imports and ``__all__`` entries do not count: a name that only a
+test imports is a test helper and lives under ``tests/``.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "brainspeech"
+
+# "module.qualname" -> why it may go unreferenced inside the package.
+ALLOWLIST = {
+    "cli.main": "console-script entry point named in pyproject.toml",
+    "numerics.gradcheck.grad_check": "gradient-check harness the numerics tests run",
+    "numerics.ops.scale": "numerics op covered by the gradient suite",
+    "numerics.ops.inner_product_full": "numerics op covered by the gradient suite",
+}
+
+
+def _module_name(path: Path) -> str:
+    rel = path.relative_to(SRC).with_suffix("")
+    parts = [p for p in rel.parts if p != "__init__"]
+    return ".".join(parts)
+
+
+def _definitions(tree: ast.Module) -> List[Tuple[str, Tuple[str, bool], int, int]]:
+    """(qualname, (name, is method), first line, last line) of each checked def."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, (node.name, False), node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    defs.append((f"{node.name}.{item.name}", (item.name, True),
+                                 item.lineno, item.end_lineno))
+    return defs
+
+
+def _references(tree: ast.Module) -> List[Tuple[Tuple[str, bool], int]]:
+    """((name, is attribute), line) of every loaded name and attribute access."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(((node.id, False), node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append(((node.attr, True), node.lineno))
+    return refs
+
+
+def unreferenced() -> Dict[str, str]:
+    """module.qualname -> file:line of every definition nothing in src/ uses."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    total: Counter = Counter()
+    per_file = {}
+    for path, tree in trees.items():
+        per_file[path] = _references(tree)
+        total.update(ref for ref, _ in per_file[path])
+    missing = {}
+    for path, tree in trees.items():
+        module = _module_name(path)
+        for qualname, (name, method), first, last in _definitions(tree):
+            # a method is reached as an attribute; a function or class either way
+            kinds = [(name, True)] if method else [(name, True), (name, False)]
+            inside = sum(1 for ref, line in per_file[path]
+                         if ref in kinds and first <= line <= last)
+            if sum(total[k] for k in kinds) - inside == 0:
+                key = f"{module}.{qualname}" if module else qualname
+                missing[key] = f"{path.relative_to(SRC.parents[1])}:{first}"
+    return missing
+
+
+def test_every_definition_is_used_in_src():
+    missing = {k: v for k, v in unreferenced().items() if k not in ALLOWLIST}
+    assert not missing, (
+        "definitions referenced from nowhere else in src/ (delete them, or move "
+        "test-only helpers under tests/):\n"
+        + "\n".join(f"  {k} ({v})" for k, v in sorted(missing.items()))
+    )
+
+
+def test_allowlist_names_existing_definitions():
+    defined: Set[str] = set()
+    for path in SRC.rglob("*.py"):
+        module = _module_name(path)
+        for qualname, *_ in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            defined.add(f"{module}.{qualname}" if module else qualname)
+    assert not set(ALLOWLIST) - defined, sorted(set(ALLOWLIST) - defined)

@@ -5,7 +5,6 @@ from brainspeech.speech import (
     AUDIO_RATE,
     FeatureStats,
     align_feature_rate,
-    feature_normalize,
     hz_to_mel,
     load_external_features,
     log_compress,
@@ -155,7 +154,7 @@ class TestFeatureStats:
         rng = np.random.default_rng(4)
         feats = [rng.normal(loc=2.0, scale=3.0, size=(5, 360)) for _ in range(10)]
         stats = FeatureStats.fit(feats)
-        normed = np.concatenate([feature_normalize(f, stats) for f in feats], axis=1)
+        normed = np.concatenate([stats.apply(f) for f in feats], axis=1)
         np.testing.assert_allclose(normed.mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_allclose(normed.std(axis=1), 1.0, atol=1e-6)
 
@@ -169,7 +168,7 @@ class TestFeatureStats:
         train = [rng.normal(size=(3, 100))]
         stats = FeatureStats.fit(train)
         test = rng.normal(loc=50.0, size=(3, 100))
-        out = feature_normalize(test, stats)
+        out = stats.apply(test)
         # applying train stats leaves the test shift visible (no refit)
         assert out.mean() > 10.0
 
