@@ -126,13 +126,22 @@ def load_checkpoint(ckpt_dir) -> dict:
 
     Raises ``ValueError`` unless the manifest is format 1, names exactly the
     rebuilt networks' parameters and BatchNorm layers with their shapes, and
-    every blob holds as many bytes as the manifest says.
+    every blob holds as many bytes as the manifest says. A missing manifest
+    key or an unknown config field is a ``ValueError`` too.
     """
     ckpt_dir = Path(ckpt_dir)
     manifest = json.loads((ckpt_dir / "manifest.json").read_text())
     if manifest.get("format") != 1:
         raise ValueError(f"manifest.json: checkpoint format {manifest.get('format')!r} is not 1")
+    try:
+        return _rebuild(ckpt_dir, manifest)
+    except KeyError as exc:
+        raise ValueError(f"manifest.json: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"manifest.json: {exc}") from exc
 
+
+def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
     brain = BrainNet(BrainNetConfig.from_dict(manifest["brain_config"]),
                      np.random.default_rng(0))
     deep_mel = None

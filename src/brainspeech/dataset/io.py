@@ -43,7 +43,8 @@ def _load_json(path: Path):
 
 
 def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
-    """Read a little-endian float32 rows x cols file into one writable float32 array."""
+    """Read a little-endian float32 rows x cols file into one writable float32
+    array; every value must be finite."""
     expect = rows * cols * 4
     found = path.stat().st_size
     if found == expect:
@@ -53,7 +54,14 @@ def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
         raise DatasetFormatError(
             f"{path}: expected {expect} bytes for {rows}x{cols} float32, found {found}"
         )
-    return arr.reshape(rows, cols).astype(np.float32, copy=False)
+    arr = arr.reshape(rows, cols).astype(np.float32, copy=False)
+    for row, values in enumerate(arr):  # row by row: no file-sized temporary
+        if not np.isfinite(values).all():
+            col = np.flatnonzero(~np.isfinite(values))[0]
+            raise DatasetFormatError(
+                f"{path}: non-finite value {values[col]} at row {row}, column {col}"
+            )
+    return arr
 
 
 def write_manifest(root: Path, manifest: dict) -> None:

@@ -28,7 +28,6 @@ class EvalReport:
     candidate_ids: List[int]  # N segment ids in candidate order
     anchor_words: List[str]  # per candidate, normalized
     trial_subjects: np.ndarray  # (trials,)
-    trial_recordings: List[str]
     duplicate_candidates: List[Tuple[int, int]] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -82,14 +81,8 @@ def score_test_set(
     subject_fallback: bool = False,
 ) -> EvalReport:
     """Probability of every candidate segment for every trial of a split."""
-    expected_f = pipeline.feature_dim
-    if deep_mel is None and brain.config.out_features != expected_f:
-        raise ValueError(
-            f"checkpoint predicts {brain.config.out_features} features but the dataset "
-            f"provides {expected_f}; feature kinds do not match"
-        )
     data = pipeline.materialize(split)
-    cand_ids, cand_feats = pipeline.candidate_features(split)
+    cand_feats = data.candidates
     if deep_mel is not None:
         cand_feats = _forward_chunks(
             deep_mel, cand_feats, np.zeros(cand_feats.shape[0], dtype=int), None
@@ -103,16 +96,13 @@ def score_test_set(
     else:
         raise ValueError(f"unknown objective {objective!r}")
     probs = softmax_rows(logits.astype(np.float64))
-    pos_of = {sid: j for j, sid in enumerate(cand_ids)}
-    true_index = np.array([pos_of[sid] for sid in data.segment_ids])
-    anchors = [normalize_token(pipeline.anchor_word(sid)) for sid in cand_ids]
     return EvalReport(
         probs=probs,
-        true_index=true_index,
-        candidate_ids=list(cand_ids),
-        anchor_words=anchors,
-        trial_subjects=data.subject_idx.copy(),
-        trial_recordings=list(data.recording_ids),
+        true_index=data.target_index,
+        candidate_ids=data.candidate_ids,
+        anchor_words=[normalize_token(pipeline.anchor_word(sid))
+                      for sid in data.candidate_ids],
+        trial_subjects=data.subject_idx,
         duplicate_candidates=_find_duplicates(probs),
         metadata={"split": split, "objective": objective},
     )

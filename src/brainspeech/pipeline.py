@@ -1,7 +1,9 @@
 """Dataset preparation: recordings to preprocessed windows and feature targets.
 
-Materialization is lazy per split and every materialization is recorded by
-the access guard, which is how training proves it never touched the test
+Materialization is lazy per split: :meth:`DataPipeline.materialize` serves a
+split's windows together with its targets, each segment's raw target computed
+on first use. The access guard records a split before any of its windows or
+targets are read, which is how training proves it never touched the test
 split.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class SplitLeakError(RuntimeError):
 
 
 class SplitAccessGuard:
-    """Records which splits had sample data served."""
+    """Records which splits had windows or targets read."""
 
     def __init__(self):
         self.reads: Set[str] = set()
@@ -52,8 +54,9 @@ class SplitAccessGuard:
 class PreparedSplit:
     x: np.ndarray  # (n, C, W) preprocessed brain windows
     subject_idx: np.ndarray  # (n,)
-    segment_ids: np.ndarray  # (n,)
-    recording_ids: List[str]
+    candidate_ids: List[int]  # (N,) the split's segment ids, in id order
+    candidates: np.ndarray  # (N, F, T) float32 normalized targets
+    target_index: np.ndarray  # (n,) each sample's row in ``candidates``
 
 
 @dataclass
@@ -112,19 +115,12 @@ class DataPipeline:
         self._samples: Dict[str, List[Sample]] = {split: [] for split in SPLITS}
         self._collect_samples()
         self.scalers = scalers if scalers is not None else self._fit_scalers()
-        self._raw_features: Dict[int, np.ndarray] = {}
-        self._load_segment_features()
-        if feature_stats is not None:
-            self.feature_stats = feature_stats
-        else:
-            train_ids = self.splits.ids_in("train")
-            self.feature_stats = FeatureStats.fit(
-                [self._raw_features[sid] for sid in train_ids]
+        self._raw_targets: Dict[int, np.ndarray] = {}
+        if feature_stats is None:
+            feature_stats = FeatureStats.fit(
+                [self._raw_target(sid) for sid in self.splits.ids_in("train")]
             )
-        self.features: Dict[int, np.ndarray] = {
-            sid: self.feature_stats.apply(arr).astype(np.float32)
-            for sid, arr in self._raw_features.items()
-        }
+        self.feature_stats = feature_stats
 
     # -- sample collection ------------------------------------------------
 
@@ -170,18 +166,18 @@ class DataPipeline:
         mel = log_compress(mel_spectrogram(audio, n_mels=self.config.n_mels))
         return align_feature_rate(mel, rate / 128.0, self.config.window_s, WORKING_RATE)
 
-    def _load_segment_features(self) -> None:
-        rep = self.config.representation
-        for sid in sorted(self.segments):
-            if self.splits.split_of(sid) is None:
-                continue
-            if rep in ("mel", "deep-mel"):
-                self._raw_features[sid] = self.segment_mel(sid)
+    def _raw_target(self, sid: int) -> np.ndarray:
+        """A segment's unnormalized target, computed on first use and
+        recorded by the guard under the segment's split before it is read."""
+        if sid not in self._raw_targets:
+            self.guard.record(self.splits.split_of(sid))
+            if self.config.representation in ("mel", "deep-mel"):
+                raw = self.segment_mel(sid)
             else:
                 arr, rate = load_external_features(self.root, sid)
-                self._raw_features[sid] = align_feature_rate(
-                    arr, rate, self.config.window_s, WORKING_RATE
-                )
+                raw = align_feature_rate(arr, rate, self.config.window_s, WORKING_RATE)
+            self._raw_targets[sid] = raw
+        return self._raw_targets[sid]
 
     # -- public accessors ---------------------------------------------------
 
@@ -195,10 +191,11 @@ class DataPipeline:
 
     @property
     def feature_dim(self) -> int:
-        return int(next(iter(self.features.values())).shape[0])
+        return int(self.feature_stats.mean.shape[0])
 
     def materialize(self, split: str) -> PreparedSplit:
-        """Preprocessed brain windows for every sample of a split."""
+        """Preprocessed brain windows for every sample of a split, with the
+        normalized targets of the split's segments they are scored against."""
         self.guard.record(split)
         samples = self._samples[split]
         if not samples:
@@ -215,26 +212,28 @@ class DataPipeline:
                 sample_rate=WORKING_RATE,
                 clamp_limit=self.config.clamp,
             )
+        ids = self.splits.ids_in(split)
+        row_of = {sid: j for j, sid in enumerate(ids)}
         return PreparedSplit(
             x=x,
             subject_idx=np.array([s.subject_id for s in samples], dtype=int),
-            segment_ids=np.array([s.segment_id for s in samples], dtype=int),
-            recording_ids=[s.recording_id for s in samples],
+            candidate_ids=ids,
+            candidates=np.stack(
+                [self.feature_stats.apply(self._raw_target(sid)).astype(np.float32)
+                 for sid in ids]
+            ),
+            target_index=np.array([row_of[s.segment_id] for s in samples], dtype=int),
         )
-
-    def candidate_features(self, split: str) -> Tuple[List[int], np.ndarray]:
-        """Normalized feature targets of a split's segments, in id order."""
-        ids = self.splits.ids_in(split)
-        return ids, np.stack([self.features[sid] for sid in ids])
 
     def log_mel(self, sid: int) -> np.ndarray:
         """:meth:`segment_mel` of a segment, for Mel reconstruction.
 
-        The Mel representations already hold it as the segment's raw target;
-        the external representation computes it from the audio.
+        The Mel representations reuse the segment's cached raw target; the
+        external representation computes it from the audio.
         """
+        self.guard.record(self.splits.split_of(sid))
         if self.config.representation in ("mel", "deep-mel"):
-            return self._raw_features[sid]
+            return self._raw_target(sid)
         return self.segment_mel(sid)
 
     def anchor_word(self, sid: int) -> str:

@@ -58,6 +58,10 @@ class FeatureStats:
         return cls(mean=stacked.mean(axis=1), std=stacked.std(axis=1))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
+        dims = np.shape(features)[0]
+        if dims != self.mean.shape[0]:
+            raise ValueError(f"features have {dims} dimensions but the feature "
+                             f"statistics were fitted on {self.mean.shape[0]}")
         return ((features - self.mean[:, None]) / self.std[:, None]).astype(
             np.asarray(features).dtype
         )

@@ -165,8 +165,6 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
 
     train_data = pipeline.materialize("train")
     valid_data = pipeline.materialize("valid")
-    train_targets = np.stack([pipeline.features[sid] for sid in train_data.segment_ids])
-    valid_targets = np.stack([pipeline.features[sid] for sid in valid_data.segment_ids])
     positions = pipeline.positions
     n_train = train_data.x.shape[0]
     updates_per_epoch = min(tc.updates_per_epoch, max(n_train // tc.batch_size, 1))
@@ -195,12 +193,13 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
         for chunk in _chunks(valid_data.x.shape[0], tc.batch_size):
             z = brain.forward(Tensor(valid_data.x[chunk]), valid_data.subject_idx[chunk],
                               positions, training=False)
+            targets = valid_data.candidates[valid_data.target_index[chunk]]
             if tc.objective == "clip":
-                y = _forward_targets(deep_mel, valid_targets[chunk], training=False)
+                y = _forward_targets(deep_mel, targets, training=False)
                 loss = clip_loss_batch(z, y).item()
                 scores = clip_scores_eval(z.data, y.data)
             else:
-                y = Tensor(valid_targets[chunk])
+                y = Tensor(targets)
                 loss = regression_loss(z, y).item()
                 scores = regression_scores_eval(z.data, y.data)
             losses.append(loss)
@@ -223,11 +222,12 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                 z = brain.forward(Tensor(train_data.x[batch]),
                                   train_data.subject_idx[batch], positions,
                                   training=True, rng=drop_rng)
+                targets = train_data.candidates[train_data.target_index[batch]]
                 if tc.objective == "clip":
-                    y = _forward_targets(deep_mel, train_targets[batch], training=True)
+                    y = _forward_targets(deep_mel, targets, training=True)
                     loss = clip_loss_batch(z, y)
                 else:
-                    loss = regression_loss(z, Tensor(train_targets[batch]))
+                    loss = regression_loss(z, Tensor(targets))
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingAborted(f"non-finite training loss at epoch {epoch}")

@@ -6,7 +6,6 @@ from brainspeech.numerics import (
     NonFiniteGradient,
     Tensor,
     adam_step,
-    mean_all,
     mse,
     parameter,
 )

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +148,41 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "matching-window" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_recording_rejected(self, workspace, tmp_path, capsys, value):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace / "data", broken)
+        target = broken / "recordings" / "s00_r00.bin"
+        meta = json.loads(target.with_suffix(".json").read_text())
+        signal = np.fromfile(target, dtype="<f4").reshape(meta["channels"], meta["samples"])
+        signal[3, 100] = value
+        signal.tofile(target)
+        for argv in (
+            ["ingest", "--dataset", str(broken)],
+            ["train", "--config", str(workspace / "train.cfg"), "--dataset", str(broken),
+             "--out", str(tmp_path / "r")],
+            ["eval", "--checkpoint", str(workspace / "run" / "best"),
+             "--dataset", str(broken), "--out", str(tmp_path / "e")],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error category=format: {target}: non-finite value "
+                           f"{value} at row 3, column 100"]
+
+    def test_feature_dimension_mismatch_reported(self, workspace, tmp_path, capsys):
+        (tmp_path / "narrow.cfg").write_text(SYNTH_CFG.replace("features = 6",
+                                                               "features = 4"))
+        assert main(["synth", "--spec", str(tmp_path / "narrow.cfg"),
+                     "--out", str(tmp_path / "narrow")]) == 0
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "best"),
+                     "--dataset", str(tmp_path / "narrow"),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error category=invalid: features have 4 dimensions but the "
+                       "feature statistics were fitted on 6"]
+
 
 class TestCheckpointRoundtrip:
     def test_save_load_bit_identical(self, workspace, tmp_path):
@@ -168,7 +202,7 @@ class TestCheckpointRoundtrip:
         assert set(ckpt["scalers"]) == set(again["scalers"])
 
     def test_loaded_model_scores_identically(self, workspace):
-        from brainspeech.evaluation import score_test_set, topk_accuracy
+        from brainspeech.evaluation import score_test_set
         from brainspeech.pipeline import DataConfig, DataPipeline
 
         ckpt = load_checkpoint(workspace / "run" / "best")
@@ -208,6 +242,18 @@ def _drop_param(ckpt):
     params.write_bytes(params.read_bytes()[:-size])
 
 
+def _drop_bn(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["bn"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _add_config_field(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["brain_config"]["width"] = 3
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestCheckpointValidation:
     """A checkpoint that does not match its manifest fails eval with one line."""
 
@@ -216,7 +262,10 @@ class TestCheckpointValidation:
         (_truncate_bn, "bn.bin: expected"),
         (_rename_param, "head.conv9.b"),
         (_drop_param, "is None but the rebuilt net has ('subject.m'"),
-    ], ids=["format", "bn-length", "unknown-param", "missing-param"])
+        (_drop_bn, "manifest.json: missing key 'bn'"),
+        (_add_config_field, "unexpected keyword argument 'width'"),
+    ], ids=["format", "bn-length", "unknown-param", "missing-param", "missing-key",
+            "unknown-config-field"])
     def test_eval_rejects(self, workspace, tmp_path, capsys, corrupt, needle):
         import shutil
 
@@ -269,11 +318,36 @@ class TestReconstructionMel:
         pipeline = DataPipeline(workspace / "data", DataConfig(representation="mel"))
         test_ids = pipeline.splits.ids_in("test")
         computed = [pipeline.segment_mel(sid) for sid in test_ids]
+        pipeline.materialize("test")  # as cmd_eval scores before it reconstructs
         monkeypatch.setattr(dataset_io, "read_audio",
                             lambda *a: pytest.fail("log_mel re-read the audio"))
         reused = [pipeline.log_mel(sid) for sid in test_ids]
         for a, b in zip(reused, computed):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_eval_build_computes_each_test_mel_once(self, workspace, monkeypatch):
+        from collections import Counter
+
+        from brainspeech.pipeline import DataConfig, DataPipeline
+
+        config = DataConfig(representation="mel")
+        fitted = DataPipeline(workspace / "data", config)
+        calls = Counter()
+        real = DataPipeline.segment_mel
+
+        def counted(self, sid):
+            calls[sid] += 1
+            return real(self, sid)
+
+        monkeypatch.setattr(DataPipeline, "segment_mel", counted)
+        pipeline = DataPipeline(workspace / "data", config, scalers=fitted.scalers,
+                                feature_stats=fitted.feature_stats)
+        assert not calls and not pipeline.guard.reads
+        data = pipeline.materialize("test")
+        for sid in data.candidate_ids:
+            pipeline.log_mel(sid)
+        assert calls == Counter(pipeline.splits.ids_in("test"))
+        assert pipeline.guard.reads == {"test"}
 
     def test_external_pipeline_computes_the_mel(self, workspace):
         from brainspeech.pipeline import DataConfig, DataPipeline

@@ -27,7 +27,6 @@ def make_report(probs, true_index, words=None, subjects=None):
         candidate_ids=list(range(n)),
         anchor_words=list(words),
         trial_subjects=np.asarray(subjects),
-        trial_recordings=["r"] * probs.shape[0],
     )
 
 

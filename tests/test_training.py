@@ -119,6 +119,42 @@ class TestTrain:
         with pytest.raises(SplitLeakError):
             train(cfg, tmp_path / "run", pipeline=pipeline)
 
+    @pytest.mark.parametrize("representation", ["external", "mel"])
+    def test_train_never_reads_test_targets(self, tiny_dataset, tmp_path, monkeypatch,
+                                            representation):
+        from brainspeech.dataset import io as dataset_io
+
+        splits = dataset_io.read_splits(tiny_dataset)
+        for name in ("read_feature_file", "read_audio"):
+            def guarded(root, sid, real=getattr(dataset_io, name), name=name):
+                if splits.split_of(sid) == "test":
+                    pytest.fail(f"training called {name} for test segment {sid}")
+                return real(root, sid)
+
+            monkeypatch.setattr(dataset_io, name, guarded)
+        cfg = tiny_train_config(tiny_dataset, **{"training.max_epochs": 1})
+        cfg.speech.representation = representation
+        cfg.speech.n_mels = 20
+        result = train(cfg, tmp_path / "run")
+        assert np.isfinite(result.best_valid_loss)
+
+    def test_materialize_serves_the_split_targets(self, tiny_dataset):
+        from brainspeech.speech import align_feature_rate, load_external_features
+
+        pipeline = DataPipeline(tiny_dataset, DataConfig(representation="external"))
+        for split in ("train", "valid", "test"):
+            data = pipeline.materialize(split)
+            assert data.candidate_ids == pipeline.splits.ids_in(split)
+            assert data.candidates.dtype == np.float32
+            assert data.candidates.shape[0] == len(data.candidate_ids)
+            for sid, target in zip(data.candidate_ids, data.candidates):
+                arr, rate = load_external_features(tiny_dataset, sid)
+                raw = align_feature_rate(arr, rate, pipeline.config.window_s)
+                want = pipeline.feature_stats.apply(raw).astype(np.float32)
+                assert target.tobytes() == want.tobytes()
+            served = [data.candidate_ids[j] for j in data.target_index]
+            assert served == [s.segment_id for s in pipeline._samples[split]]
+
     def test_regression_objective_runs(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(tiny_dataset, **{"training.objective": "regression"})
         cfg.speech.representation = "mel"
@@ -146,8 +182,7 @@ class TestTrain:
         n = 16  # validation trials, one chunk
         report = EvalReport(probs=np.full((n, n), 1.0 / n), true_index=np.arange(n),
                             candidate_ids=list(range(n)), anchor_words=["w"] * n,
-                            trial_subjects=np.zeros(n, dtype=int),
-                            trial_recordings=["r"] * n)
+                            trial_subjects=np.zeros(n, dtype=int))
         assert result.history[0]["valid_top10"] == pytest.approx(10 / n)
         assert topk_accuracy(report, 10) == pytest.approx(100 * 10 / n)
 
