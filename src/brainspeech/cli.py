@@ -59,7 +59,7 @@ def _version_stamp() -> dict:
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
+            cwd=Path(__file__).resolve().parent, capture_output=True, text=True, timeout=5,
         )
         if rev.returncode == 0:
             stamp["git"] = rev.stdout.strip()
@@ -164,6 +164,13 @@ def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
             "config",
             f"checkpoint was trained on {data_cfg.window_s}s windows but dataset "
             f"{dataset_root} uses {manifest['window_s']}s; train a matching-window model",
+        )
+    n_channels = ckpt["brain"].config.in_channels
+    if int(manifest.get("channels", n_channels)) != n_channels:
+        raise CliError(
+            "config",
+            f"checkpoint was trained on {n_channels} channels but dataset "
+            f"{dataset_root} has {manifest['channels']}; train a matching-channel model",
         )
     stored = ckpt["scalers"]
     rec_ids = set(dataset_io.recording_ids(Path(dataset_root)))

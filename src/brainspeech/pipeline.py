@@ -155,7 +155,10 @@ class DataPipeline:
             ]
             if not slices:
                 raise ValueError(f"{rec_id}: no training-split samples to fit the scaler")
-            scalers[rec_id] = preprocessing.ScalerParams.fit(np.concatenate(slices, axis=1))
+            try:
+                scalers[rec_id] = preprocessing.ScalerParams.fit(np.concatenate(slices, axis=1))
+            except preprocessing.DegenerateChannel as exc:
+                raise preprocessing.DegenerateChannel(f"{rec_id}: {exc}") from None
         return scalers
 
     # -- speech targets ----------------------------------------------------

@@ -1,10 +1,15 @@
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brainspeech.cli
 from brainspeech.checkpoint import load_checkpoint, save_checkpoint
-from brainspeech.cli import _pipeline_for_checkpoint, main
+from brainspeech.cli import _pipeline_for_checkpoint, _version_stamp, main
+from brainspeech.dataset import io as dataset_io
 from brainspeech.config import Config
 from brainspeech.pipeline import DataConfig
 from brainspeech.training import data_config_from, train
@@ -107,8 +112,6 @@ class TestPipelineSmoke:
 
 class TestErrorPaths:
     def test_ingest_truncated_recording(self, workspace, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(workspace / "data", broken)
         target = broken / "recordings" / "s00_r00.bin"
@@ -150,8 +153,6 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_recording_rejected(self, workspace, tmp_path, capsys, value):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(workspace / "data", broken)
         target = broken / "recordings" / "s00_r00.bin"
@@ -182,6 +183,54 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error category=invalid: features have 4 dimensions but the "
                        "feature statistics were fitted on 6"]
+
+    def test_channel_count_mismatch_reported(self, workspace, tmp_path, capsys, monkeypatch):
+        (tmp_path / "six.cfg").write_text(SYNTH_CFG.replace("channels = 8", "channels = 6"))
+        assert main(["synth", "--spec", str(tmp_path / "six.cfg"),
+                     "--out", str(tmp_path / "six")]) == 0
+        assert (dataset_io.recording_ids(tmp_path / "six")
+                == dataset_io.recording_ids(workspace / "data"))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a recording was read")
+
+        monkeypatch.setattr(dataset_io, "read_recording", no_read)
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "best"),
+                     "--dataset", str(tmp_path / "six"), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error category=config: checkpoint was trained on 8 channels but "
+                       f"dataset {tmp_path / 'six'} has 6; train a matching-channel model"]
+
+    def test_zero_iqr_channel_names_the_recording(self, workspace, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace / "data", broken)
+        target = broken / "recordings" / "s00_r00.bin"
+        meta = json.loads(target.with_suffix(".json").read_text())
+        signal = np.fromfile(target, dtype="<f4").reshape(meta["channels"], meta["samples"])
+        signal[3] = 0.5
+        signal.tofile(target)
+        assert main(["train", "--config", str(workspace / "train.cfg"),
+                     "--dataset", str(broken), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error category=invalid: s00_r00: channel(s) [3] have zero "
+                       "interquartile range"]
+
+
+def test_version_stamp_is_the_source_trees_revision(tmp_path, monkeypatch):
+    package = Path(brainspeech.cli.__file__).resolve().parent
+    rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=package,
+                         capture_output=True, text=True, timeout=5)
+    # run from another repository, whose revision must not be recorded
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True, timeout=10)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "other"], cwd=tmp_path,
+                   check=True, timeout=10)
+    monkeypatch.chdir(tmp_path)
+    stamp = _version_stamp()
+    if rev.returncode == 0:
+        assert stamp["git"] == rev.stdout.strip()
+    else:
+        assert "git" not in stamp
 
 
 class TestCheckpointRoundtrip:
@@ -267,8 +316,6 @@ class TestCheckpointValidation:
     ], ids=["format", "bn-length", "unknown-param", "missing-param", "missing-key",
             "unknown-config-field"])
     def test_eval_rejects(self, workspace, tmp_path, capsys, corrupt, needle):
-        import shutil
-
         ckpt = tmp_path / "best"
         shutil.copytree(workspace / "run" / "best", ckpt)
         corrupt(ckpt)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainspeech.preprocessing import (
+    _RESAMPLE_BLOCK,
     DegenerateChannel,
     ScalerParams,
     _resample_filter,
@@ -44,6 +46,46 @@ def convolve_resample_oracle(signal, sr_in, sr_out):
     for c in range(signal.shape[0]):
         out[c] = np.convolve(stuffed[c], h)[take]
     return out
+
+
+def whole_signal_resample(signal, sr_in, sr_out):
+    """The blocked polyphase GEMM over the whole signal at once: one
+    edge-extended float64 copy of every channel, float64 products, then a
+    cast to the input dtype. Same filter, taps, blocks and summation order
+    as :func:`resample`, none of its channel grouping."""
+    signal = np.atleast_2d(np.asarray(signal))
+    channels, t_in = signal.shape
+    t_out = int(round(t_in * sr_out / sr_in))
+    ratio = Fraction(sr_out / sr_in).limit_denominator(10000)
+    up, down = ratio.numerator, ratio.denominator
+    h = _resample_filter(up, down)
+    half = (len(h) - 1) // 2
+    pad_in = -(-half // up)
+    offset = pad_in * up + half
+
+    block = up * -(-_RESAMPLE_BLOCK // up)
+    step = block * down // up
+    first = -(-(offset - 2 * half) // up)
+    last = ((block - 1) * down + offset) // up
+    n_slices = -(-(last - first + 1) // step)
+    lag = np.arange(block) * down + offset - (first + np.arange(n_slices * step)[:, None]) * up
+    taps = np.where((lag >= 0) & (lag < len(h)), h[np.clip(lag, 0, len(h) - 1)], 0.0)
+
+    n_blocks = -(-t_out // block)
+    n_rows = n_blocks + n_slices - 1
+    x = np.zeros((channels, n_rows * step))
+    lead = pad_in - first
+    body = signal[:, : x.shape[1] - lead]
+    x[:, :lead] = signal[:, :1]
+    x[:, lead : lead + body.shape[1]] = body
+    x[:, lead + t_in : lead + t_in + pad_in] = signal[:, -1:]
+
+    rows = x.reshape(channels * n_rows, step)
+    out = (rows @ taps[:step]).reshape(channels, n_rows, block)[:, :n_blocks]
+    for j in range(1, n_slices):
+        part = rows @ taps[j * step : (j + 1) * step]
+        out += part.reshape(channels, n_rows, block)[:, j : j + n_blocks]
+    return out.reshape(channels, n_blocks * block)[:, :t_out].astype(signal.dtype)
 
 
 # (sr_in, sr_out): integer and rational ratios; 500, 1000 and 1017 Hz give up > 1.
@@ -135,6 +177,43 @@ class TestResampleMatchesConvolveOracle:
             convolve_resample_oracle(np.zeros((2, 0)), 600.0, 120.0)
         with pytest.raises(ValueError):
             resample(np.zeros((2, 0)), 600.0, 120.0)
+
+
+class TestResampleMatchesWholeSignal:
+    """Channel groups change no bit: every output is the same float64 sum."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rates", RATE_PAIRS + [(300.0, 250.0)])
+    def test_byte_identical(self, rates, dtype):
+        rng = np.random.default_rng(7)
+        for length in (1, 2, 50, 1000, 5000, 12345, 60000):
+            for channels in (1, 3, 21, 64):
+                x = rng.normal(size=(channels, length)).astype(dtype)
+                got = resample(x, *rates)
+                want = whole_signal_resample(x, *rates)
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (length, channels)
+
+    @pytest.fixture(scope="class")
+    def recording(self):
+        # the ingest-mel-eval benchmark's recording shape: 64 channels at 600 Hz
+        return np.random.default_rng(11).normal(size=(64, 210_900)).astype(np.float32)
+
+    def test_benchmark_recording_byte_identical(self, recording):
+        got = resample(recording, 600.0, 120.0)
+        want = whole_signal_resample(recording, 600.0, 120.0)
+        assert got.dtype == np.float32 and got.shape == want.shape == (64, 42_180)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_allocation_below_half_the_input(self, recording):
+        tracemalloc.start()
+        try:
+            resample(recording, 600.0, 120.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < recording.nbytes / 2
 
 
 class TestBaselineCorrect:
