@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint
-from .config import Config, ConfigError, load_config
+from .config import Config, ConfigError, load_config, parse_value
 from .dataset import SynthSpec, generate_synthetic
 from .dataset import io as dataset_io
 from .dataset.validate import validate_dataset
@@ -92,22 +92,11 @@ def _load_synth_spec(path: str) -> SynthSpec:
     if "synth" not in parser:
         raise CliError("config", f"{path}: missing [synth] section")
     spec = SynthSpec()
-    valid = {f.name: f for f in dataclasses.fields(SynthSpec)}
+    valid = {f.name for f in dataclasses.fields(SynthSpec)}
     for key, raw in parser.items("synth"):
         if key not in valid:
             raise CliError("config", f"{path}: unknown synth key {key!r}")
-        current = getattr(spec, key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        elif isinstance(current, tuple):
-            value = tuple(float(v) for v in raw.strip("()[] ").split(","))
-        else:
-            value = raw
-        setattr(spec, key, value)
+        setattr(spec, key, parse_value(f"synth.{key}", raw, getattr(spec, key)))
     return spec
 
 
@@ -122,10 +111,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    problems = validate_dataset(args.dataset)
-    if problems:
-        raise CliError("format", problems[0])
-    manifest = dataset_io.read_manifest(Path(args.dataset))
+    manifest = validate_dataset(args.dataset)
     print(f"ok: {manifest['name']} ({len(manifest['subjects'])} subjects, "
           f"{manifest['channels']} channels)")
     return 0
@@ -166,7 +152,7 @@ def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
             f"{dataset_root} uses {manifest['window_s']}s; train a matching-window model",
         )
     n_channels = ckpt["brain"].config.in_channels
-    if int(manifest.get("channels", n_channels)) != n_channels:
+    if int(manifest["channels"]) != n_channels:
         raise CliError(
             "config",
             f"checkpoint was trained on {n_channels} channels but dataset "
@@ -351,10 +337,7 @@ def cmd_attention_dump(args) -> int:
         raise CliError("invalid", "checkpoint was trained without spatial attention")
     root = Path(args.dataset)
     manifest = dataset_io.read_manifest(root)
-    rec_ids = dataset_io.recording_ids(root)
-    if not rec_ids:
-        raise CliError("format", f"no recordings under {root}")
-    rec = dataset_io.read_recording(root, rec_ids[0], 0)
+    rec = dataset_io.read_recording(root, dataset_io.recording_ids(root)[0], manifest)
     weights = brain.attention_weights(rec.positions)  # (D1, C)
     mean_w = weights.mean(axis=0)
     out_path = Path(args.out)

@@ -8,7 +8,6 @@ snapshotted into every run directory.
 
 from __future__ import annotations
 
-import ast
 import configparser
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -128,24 +127,27 @@ def _plain(v):
     return v
 
 
-def _coerce(raw: str, current):
-    """Parse an INI value against the default's type."""
+# The one key that takes ``none``: no clamping (the ablation).
+NULLABLE = ("preprocessing.clamp",)
+
+
+def parse_value(key: str, raw: str, default):
+    """Parse the INI value of ``key`` against the type of its ``default``: a
+    str, int or float, or a comma-separated tuple (optionally in brackets)
+    of the type of the default's first element. ``none`` is accepted only
+    for a key in ``NULLABLE``; any value that does not parse is a
+    :class:`ConfigError` naming the key."""
     raw = raw.strip()
-    if raw.lower() in ("none", "null"):
+    if key in NULLABLE and raw.lower() in ("none", "null"):
         return None
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float) or current is None:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-    if isinstance(current, tuple):
-        val = ast.literal_eval(raw)
-        return tuple(val) if isinstance(val, (list, tuple)) else (val,)
-    return raw
+    if isinstance(default, str):
+        return raw
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v) for v in raw.strip("()[] ").split(","))
+        return type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
 
 def _section(config: Config, section: str, key: str):
@@ -160,10 +162,7 @@ def _section(config: Config, section: str, key: str):
 
 def _apply(config: Config, section: str, key: str, raw: str) -> None:
     sub = _section(config, section, key)
-    try:
-        setattr(sub, key, _coerce(raw, getattr(sub, key)))
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})")
+    setattr(sub, key, parse_value(f"{section}.{key}", raw, getattr(type(sub)(), key)))
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[list] = None) -> Config:

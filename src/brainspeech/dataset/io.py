@@ -8,6 +8,10 @@ Layout under a dataset root:
 - ``audio/<segment_id>.wav`` — 16 kHz mono 16-bit PCM
 - ``features/<segment_id>.bin`` + ``.json`` — little-endian float32 F×T_feat
 - ``splits.json`` — segment_id -> split, plus the ratios and seed used
+
+Each reader checks the rules of the file it reads and raises
+:class:`DatasetFormatError` naming the file; ingest, training and evaluation
+all read through these readers, so a violation fails each the same way.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ import csv
 import json
 import wave
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .types import Recording, SpeechSegment, SplitAssignment, WordEvent
+from .types import SPLITS, Recording, SpeechSegment, SplitAssignment, WordEvent
 
 EVENTS_HEADER = ["onset_s", "duration_s", "word", "segment_id"]
+MANIFEST_KEYS = ("name", "recording_rate", "audio_rate", "channels", "subjects")
 
 
 class DatasetFormatError(ValueError):
@@ -33,20 +38,30 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, keys: Tuple[str, ...]) -> dict:
+    """A JSON object that holds every one of ``keys``."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DatasetFormatError(f"missing file: {path}")
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise DatasetFormatError(f"{path}: missing key {key!r}")
+    return obj
 
 
 def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
     """Read a little-endian float32 rows x cols file into one writable float32
     array; every value must be finite."""
     expect = rows * cols * 4
-    found = path.stat().st_size
+    try:
+        found = path.stat().st_size
+    except FileNotFoundError:
+        raise DatasetFormatError(f"missing file: {path}")
     if found == expect:
         arr = np.fromfile(path, dtype="<f4", count=rows * cols)
         found = arr.nbytes
@@ -70,7 +85,7 @@ def write_manifest(root: Path, manifest: dict) -> None:
 
 
 def read_manifest(root: Path) -> dict:
-    return _load_json(Path(root) / "manifest.json")
+    return _load_json(Path(root) / "manifest.json", MANIFEST_KEYS)
 
 
 def write_recording(
@@ -97,19 +112,34 @@ def write_recording(
     )
 
 
-def read_recording(root: Path, recording_id: str, subject_id: int) -> Recording:
+def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
+    """Read a recording as the manifest describes it: its subject, the id
+    before the last ``_``, must be a manifest subject (whose index becomes
+    ``subject_id``), and its channel count must be the manifest's."""
     rec_dir = Path(root) / "recordings"
-    meta = _load_json(rec_dir / f"{recording_id}.json")
+    subject = recording_id.rsplit("_", 1)[0]
+    if subject not in manifest["subjects"]:
+        raise DatasetFormatError(
+            f"{rec_dir / recording_id}.bin: subject {subject!r} not in manifest")
+    path = rec_dir / f"{recording_id}.json"
+    meta = _load_json(path, ("channels", "samples", "sample_rate", "channel_names",
+                             "positions"))
+    if meta["channels"] != manifest["channels"]:
+        raise DatasetFormatError(
+            f"{path}: {meta['channels']} channels, manifest says {manifest['channels']}")
     signal = _read_matrix(rec_dir / f"{recording_id}.bin",
                           int(meta["channels"]), int(meta["samples"]))
-    return Recording(
-        recording_id=recording_id,
-        subject_id=subject_id,
-        channel_names=list(meta["channel_names"]),
-        positions=np.asarray(meta["positions"], dtype=np.float64),
-        signal=signal,
-        sample_rate=float(meta["sample_rate"]),
-    )
+    try:
+        return Recording(
+            recording_id=recording_id,
+            subject_id=manifest["subjects"].index(subject),
+            channel_names=list(meta["channel_names"]),
+            positions=np.asarray(meta["positions"], dtype=np.float64),
+            signal=signal,
+            sample_rate=float(meta["sample_rate"]),
+        )
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def write_events(root: Path, recording_id: str, rows: List[Tuple[float, float, str, int]]) -> None:
@@ -133,8 +163,13 @@ def read_events(root: Path, recording_id: str) -> List[Tuple[float, float, str, 
         if header != EVENTS_HEADER:
             raise DatasetFormatError(f"{path}: bad header {header}")
         for line in reader:
-            onset, duration, word, segment_id = line
-            rows.append((float(onset), float(duration), word, int(segment_id)))
+            try:
+                onset, duration, word, segment_id = line
+                rows.append((float(onset), float(duration), word, int(segment_id)))
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{','.join(EVENTS_HEADER)}, got {','.join(line)!r}") from None
     return rows
 
 
@@ -151,15 +186,22 @@ def write_audio(root: Path, segment_id: int, samples: np.ndarray, rate: int = 16
         wf.writeframes(pcm.tobytes())
 
 
-def read_audio(root: Path, segment_id: int) -> Tuple[np.ndarray, int]:
+def read_audio(root: Path, segment_id: int, audio_rate) -> Tuple[np.ndarray, int]:
+    """Samples in [-1, 1] and the rate of a mono 16-bit PCM file recorded at
+    the manifest's ``audio_rate``."""
     path = Path(root) / "audio" / f"{segment_id}.wav"
     if not path.exists():
         raise DatasetFormatError(f"missing file: {path}")
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
-            raise DatasetFormatError(f"{path}: expected mono 16-bit PCM")
-        rate = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
+                raise DatasetFormatError(f"{path}: expected mono 16-bit PCM")
+            rate = wf.getframerate()
+            if rate != audio_rate:
+                raise DatasetFormatError(f"{path}: rate {rate} != manifest {audio_rate}")
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return samples, rate
 
@@ -178,7 +220,7 @@ def write_feature_file(root: Path, segment_id: int, features: np.ndarray, featur
 
 def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
     ft_dir = Path(root) / "features"
-    meta = _load_json(ft_dir / f"{segment_id}.json")
+    meta = _load_json(ft_dir / f"{segment_id}.json", ("features", "samples", "feature_rate"))
     arr = _read_matrix(ft_dir / f"{segment_id}.bin", int(meta["features"]),
                        int(meta["samples"]))
     return arr, float(meta["feature_rate"])
@@ -197,9 +239,14 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 
 
 def read_splits(root: Path) -> SplitAssignment:
-    obj = _load_json(Path(root) / "splits.json")
+    path = Path(root) / "splits.json"
+    obj = _load_json(path, ("assignment", "ratios", "seed"))
+    assignment = {int(k): v for k, v in obj["assignment"].items()}
+    for sid, split in assignment.items():
+        if split not in SPLITS:
+            raise DatasetFormatError(f"{path}: segment {sid} has unknown split {split!r}")
     return SplitAssignment(
-        assignment={int(k): v for k, v in obj["assignment"].items()},
+        assignment=assignment,
         ratios=tuple(obj["ratios"]),
         seed=int(obj["seed"]),
         excluded=[int(x) for x in obj.get("excluded", [])],
@@ -207,34 +254,40 @@ def read_splits(root: Path) -> SplitAssignment:
 
 
 def recording_ids(root: Path) -> List[str]:
+    """The ids of the recordings under ``root``; there must be at least one."""
     rec_dir = Path(root) / "recordings"
-    if not rec_dir.is_dir():
-        return []
-    return sorted(p.stem for p in rec_dir.glob("*.bin"))
+    ids = sorted(p.stem for p in rec_dir.glob("*.bin"))
+    if not ids:
+        raise DatasetFormatError(f"{rec_dir}: no recordings found")
+    return ids
 
 
-def load_segments(root: Path, manifest: Optional[dict] = None) -> Dict[int, SpeechSegment]:
-    """Reconstruct segment records from events, splits and feature sidecars.
+def load_segments(root: Path, manifest: dict, splits: SplitAssignment
+                  ) -> Tuple[Dict[int, SpeechSegment], Dict[str, Dict[int, float]]]:
+    """Reconstruct segment records from the events, and each recording's
+    earliest word onset per segment it presents.
 
     A segment's words are gathered from any one recording presenting it
     (presentations are identical by construction); its start within the
-    recording is the earliest word onset minus the anchor offset.
+    recording is the earliest word onset minus the anchor offset. The
+    onsets are keyed by recording id, for every recording.
     """
     root = Path(root)
-    manifest = manifest or read_manifest(root)
     anchor = float(manifest.get("anchor_s", 0.5))
     duration = float(manifest.get("window_s", 3.0))
-    splits = read_splits(root)
     segments: Dict[int, SpeechSegment] = {}
+    first_onsets: Dict[str, Dict[int, float]] = {}
     for rec_id in recording_ids(root):
         per_segment: Dict[int, List[Tuple[float, float, str]]] = {}
         for onset, dur, word, sid in read_events(root, rec_id):
             per_segment.setdefault(sid, []).append((onset, dur, word))
+        onsets = first_onsets[rec_id] = {
+            sid: min(r[0] for r in rows) for sid, rows in per_segment.items()}
         for sid, rows in per_segment.items():
             if sid in segments:
                 continue
             # first presentation seen defines the source-time span
-            start = min(r[0] for r in rows) - anchor
+            start = onsets[sid] - anchor
             words = [WordEvent(onset=o - start, duration=d, word=w) for o, d, w in sorted(rows)]
             segments[sid] = SpeechSegment(
                 segment_id=sid,
@@ -244,4 +297,4 @@ def load_segments(root: Path, manifest: Optional[dict] = None) -> Dict[int, Spee
                 words=words,
                 split=splits.split_of(sid),
             )
-    return segments
+    return segments, first_onsets

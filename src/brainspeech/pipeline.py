@@ -18,13 +18,12 @@ import numpy as np
 
 from . import preprocessing
 from .dataset import io as dataset_io
-from .dataset.types import SPLITS, Recording, Sample, SpeechSegment
+from .dataset.types import SPLITS, Recording, Sample
 from .dataset.windows import WORKING_RATE, try_extract_sample
 from .speech import (
     REPRESENTATIONS,
     FeatureStats,
     align_feature_rate,
-    load_external_features,
     log_compress,
     mel_spectrogram,
 )
@@ -83,18 +82,16 @@ class DataPipeline:
         self.guard = SplitAccessGuard()
         self.manifest = dataset_io.read_manifest(self.root)
         self.splits = dataset_io.read_splits(self.root)
-        self.segments: Dict[int, SpeechSegment] = dataset_io.load_segments(
-            self.root, self.manifest
+        self.segments, first_onsets = dataset_io.load_segments(
+            self.root, self.manifest, self.splits
         )
         self.subjects: List[str] = list(self.manifest["subjects"])
-        self._sub_index = {name: i for i, name in enumerate(self.subjects)}
         self.window_samples = int(round(config.window_s * WORKING_RATE))
 
         self.recordings: Dict[str, Recording] = {}
         self.positions: Optional[np.ndarray] = None
-        for rec_id in dataset_io.recording_ids(self.root):
-            subject = rec_id.rsplit("_", 1)[0]
-            rec = dataset_io.read_recording(self.root, rec_id, self._sub_index[subject])
+        for rec_id in first_onsets:  # every recording, in id order
+            rec = dataset_io.read_recording(self.root, rec_id, self.manifest)
             if rec.sample_rate != WORKING_RATE:
                 rec = Recording(
                     rec.recording_id, rec.subject_id, rec.channel_names, rec.positions,
@@ -109,11 +106,8 @@ class DataPipeline:
                 )
             self.recordings[rec_id] = rec
 
-        if not self.recordings:
-            raise ValueError(f"no recordings under {self.root}")
-
         self._samples: Dict[str, List[Sample]] = {split: [] for split in SPLITS}
-        self._collect_samples()
+        self._collect_samples(first_onsets)
         self.scalers = scalers if scalers is not None else self._fit_scalers()
         self._raw_targets: Dict[int, np.ndarray] = {}
         if feature_stats is None:
@@ -124,12 +118,12 @@ class DataPipeline:
 
     # -- sample collection ------------------------------------------------
 
-    def _collect_samples(self) -> None:
+    def _collect_samples(self, first_onsets: Dict[str, Dict[int, float]]) -> None:
+        """Each recording's window of each segment it presents, anchored at
+        the segment's earliest word onset in that recording."""
         for rec_id in sorted(self.recordings):
             rec = self.recordings[rec_id]
-            per_segment: Dict[int, float] = {}
-            for onset, _dur, _word, sid in dataset_io.read_events(self.root, rec_id):
-                per_segment[sid] = min(per_segment.get(sid, np.inf), onset)
+            per_segment = first_onsets[rec_id]
             for sid in sorted(per_segment):
                 split = self.splits.split_of(sid)
                 if split is None:
@@ -165,8 +159,8 @@ class DataPipeline:
 
     def segment_mel(self, sid: int) -> np.ndarray:
         """Log-Mel of a segment's audio on the working-rate window grid."""
-        audio, rate = dataset_io.read_audio(self.root, sid)
-        mel = log_compress(mel_spectrogram(audio, n_mels=self.config.n_mels))
+        audio, rate = dataset_io.read_audio(self.root, sid, self.manifest["audio_rate"])
+        mel = log_compress(mel_spectrogram(audio, n_mels=self.config.n_mels, sr=rate))
         return align_feature_rate(mel, rate / 128.0, self.config.window_s, WORKING_RATE)
 
     def _raw_target(self, sid: int) -> np.ndarray:
@@ -177,7 +171,7 @@ class DataPipeline:
             if self.config.representation in ("mel", "deep-mel"):
                 raw = self.segment_mel(sid)
             else:
-                arr, rate = load_external_features(self.root, sid)
+                arr, rate = dataset_io.read_feature_file(self.root, sid)
                 raw = align_feature_rate(arr, rate, self.config.window_s, WORKING_RATE)
             self._raw_targets[sid] = raw
         return self._raw_targets[sid]

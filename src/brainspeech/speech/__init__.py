@@ -1,9 +1,3 @@
-from pathlib import Path
-from typing import Tuple
-
-import numpy as np
-
-from ..dataset import io as dataset_io
 from .align import FeatureStats, align_feature_rate
 from .mel import (
     AUDIO_RATE,
@@ -18,11 +12,6 @@ from .mel import (
 REPRESENTATIONS = ("mel", "deep-mel", "external")
 
 
-def load_external_features(root, segment_id: int) -> Tuple[np.ndarray, float]:
-    """Stored (F, T_feat) array and its native rate, validated against the sidecar."""
-    return dataset_io.read_feature_file(Path(root), segment_id)
-
-
 __all__ = [
     "AUDIO_RATE",
     "FeatureStats",
@@ -30,7 +19,6 @@ __all__ = [
     "SUPPORTED_N_MELS",
     "align_feature_rate",
     "hz_to_mel",
-    "load_external_features",
     "log_compress",
     "mel_filterbank",
     "mel_spectrogram",

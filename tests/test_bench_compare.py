@@ -102,3 +102,5 @@ def test_no_pairs_or_unknown_claim_is_an_error(tmp_path):
                                "--benchmark", str(bench)]) == 1
     assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                                "--benchmark", str(bench), "--claim", "w:wall_s"]) == 2
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "--benchmark", str(bench), "--claim", "typo:setup_s"]) == 2

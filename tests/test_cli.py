@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,72 @@ class TestPipelineSmoke:
         assert result["comparison"]["p"] == 1.0  # compared with itself
 
 
+def _edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _first_train_segment(root):
+    return dataset_io.read_splits(root).ids_in("train")[0]
+
+
+def _manifest_without(key):
+    def corrupt(root):
+        return _edit_json(root / "manifest.json", lambda m: m.pop(key))
+    return corrupt
+
+
+def _dev_split(root):
+    return _edit_json(root / "splits.json", lambda s: s["assignment"].update({"0": "dev"}))
+
+
+def _unknown_subject(root):
+    for folder, suffix in (("recordings", ".bin"), ("recordings", ".json"),
+                           ("events", ".csv")):
+        shutil.copy(root / folder / f"s00_r00{suffix}", root / folder / f"s09_r00{suffix}")
+    return root / "recordings" / "s09_r00.bin"
+
+
+def _recording_without_channels(root):
+    return _edit_json(root / "recordings" / "s00_r00.json", lambda m: m.pop("channels"))
+
+
+def _features_without_rate(root):
+    return _edit_json(root / "features" / f"{_first_train_segment(root)}.json",
+                      lambda m: m.pop("feature_rate"))
+
+
+def _splits_without_assignment(root):
+    return _edit_json(root / "splits.json", lambda s: s.pop("assignment"))
+
+
+def _three_field_event(root):
+    path = root / "events" / "s00_r00.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _manifest_channels(root):
+    _edit_json(root / "manifest.json", lambda m: m.update(channels=6))
+    return root / "recordings" / "s00_r00.json"
+
+
+def _wav_8khz(root):
+    path = root / "audio" / f"{_first_train_segment(root)}.wav"
+    with wave.open(str(path), "rb") as wf:
+        pcm = np.frombuffer(wf.readframes(wf.getnframes()), dtype="<i2")
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(pcm[::2].tobytes())
+    return path
+
+
 class TestErrorPaths:
     def test_ingest_truncated_recording(self, workspace, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -171,6 +238,53 @@ class TestErrorPaths:
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error category=format: {target}: non-finite value "
                            f"{value} at row 3, column 100"]
+
+    @pytest.mark.parametrize("corrupt, commands, representation", [
+        (_manifest_without("subjects"), ("ingest", "train", "eval"), "external"),
+        (_manifest_without("name"), ("ingest", "train", "eval"), "external"),
+        (_dev_split, ("ingest", "train", "eval"), "external"),
+        (_unknown_subject, ("ingest", "train", "eval"), "external"),
+        (_recording_without_channels, ("ingest", "train", "eval"), "external"),
+        # a training segment's file: eval reads test targets only
+        (_features_without_rate, ("ingest", "train"), "external"),
+        (_splits_without_assignment, ("ingest", "train", "eval"), "external"),
+        (_three_field_event, ("ingest", "train", "eval"), "external"),
+        # eval's checkpoint channel check fires first
+        (_manifest_channels, ("ingest", "train"), "external"),
+        (_wav_8khz, ("ingest", "train"), "mel"),
+    ], ids=["manifest-subjects", "manifest-name", "dev-split", "unknown-subject",
+            "recording-channels", "feature-rate", "splits-assignment", "event-fields",
+            "manifest-channels", "wav-8khz"])
+    def test_malformed_root_rejected(self, workspace, tmp_path, capsys, corrupt, commands,
+                                     representation):
+        """One break of the format gives the same single line from every
+        command that reads the broken file."""
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace / "data", broken)
+        path = corrupt(broken)
+        argv = {
+            "ingest": ["ingest", "--dataset", str(broken)],
+            "train": ["train", "--config", str(workspace / "train.cfg"), "--dataset",
+                      str(broken), "--out", str(tmp_path / "r"),
+                      "--set", f"speech.representation={representation}"],
+            "eval": ["eval", "--checkpoint", str(workspace / "run" / "best"),
+                     "--dataset", str(broken), "--out", str(tmp_path / "e")],
+        }
+        lines = []
+        for command in commands:
+            assert main(argv[command]) == 1, command
+            lines.append(capsys.readouterr().err.splitlines())
+        assert len(lines[0]) == 1 and lines[0][0].startswith("error category=format: ")
+        assert str(path) in lines[0][0]
+        assert all(err == lines[0] for err in lines)
+
+    def test_unparsable_synth_value(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text(SYNTH_CFG.replace("seed = 11", "seed = eleven"))
+        assert main(["synth", "--spec", str(tmp_path / "bad.cfg"),
+                     "--out", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error category=config: bad value for synth.seed: 'eleven' "
+                       "(invalid literal for int() with base 10: 'eleven')"]
 
     def test_feature_dimension_mismatch_reported(self, workspace, tmp_path, capsys):
         (tmp_path / "narrow.cfg").write_text(SYNTH_CFG.replace("features = 6",

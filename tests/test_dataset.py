@@ -205,7 +205,7 @@ class TestSyntheticGeneration:
         spec = self.small_spec()
         generate_synthetic(spec, tmp_path)
         manifest = io.read_manifest(tmp_path)
-        rec = io.read_recording(tmp_path, "s00_r00", 0)
+        rec = io.read_recording(tmp_path, "s00_r00", manifest)
         mixing = np.frombuffer(
             (tmp_path / "truth" / "mixing_s00.bin").read_bytes(), dtype="<f4"
         ).reshape(spec.channels, spec.features)
@@ -228,19 +228,20 @@ class TestSyntheticGeneration:
         manifest = io.read_manifest(tmp_path)
         assert manifest["channels"] == 6
         assert len(io.recording_ids(tmp_path)) == 2
-        segments = io.load_segments(tmp_path)
+        segments, _ = io.load_segments(tmp_path, manifest, io.read_splits(tmp_path))
         assert len(segments) == spec.segments
         for seg in segments.values():
             assert seg.split in ("train", "valid", "test")
             assert seg.anchor_word(0.5) is not None
-        audio, rate = io.read_audio(tmp_path, 0)
+        audio, rate = io.read_audio(tmp_path, 0, manifest["audio_rate"])
         assert rate == 16000
         assert len(audio) == 48000
 
     def test_heldout_vocab_only_in_test_anchors(self, tmp_path):
         spec = self.small_spec(segments=40, vocab_size=20, heldout_vocab_frac=0.4)
         generate_synthetic(spec, tmp_path)
-        segments = io.load_segments(tmp_path)
+        segments, _ = io.load_segments(tmp_path, io.read_manifest(tmp_path),
+                                       io.read_splits(tmp_path))
         held = {f"w{i:03d}" for i in range(12, 20)}
         train_words = {
             w.word for s in segments.values() if s.split != "test" for w in s.words
@@ -254,7 +255,7 @@ class TestSyntheticGeneration:
     def test_outlier_injection(self, tmp_path):
         spec = self.small_spec(outlier_frac=0.001, outlier_scale=1000.0)
         generate_synthetic(spec, tmp_path)
-        rec = io.read_recording(tmp_path, "s00_r00", 0)
+        rec = io.read_recording(tmp_path, "s00_r00", io.read_manifest(tmp_path))
         frac = np.mean(np.abs(rec.signal) > 100.0)
         assert 0.0003 < frac < 0.003
 
@@ -272,7 +273,7 @@ class TestInterchangeValidation:
         path = tmp_path / "recordings" / "s00_r00.bin"
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(io.DatasetFormatError, match="s00_r00.bin"):
-            io.read_recording(tmp_path, "s00_r00", 0)
+            io.read_recording(tmp_path, "s00_r00", io.read_manifest(tmp_path))
 
     def test_events_header_checked(self, tmp_path):
         generate_synthetic(SynthSpec(subjects=1, segments=4, channels=3, features=2,

@@ -6,7 +6,6 @@ from brainspeech.speech import (
     FeatureStats,
     align_feature_rate,
     hz_to_mel,
-    load_external_features,
     log_compress,
     mel_filterbank,
     mel_spectrogram,
@@ -182,14 +181,14 @@ class TestExternalFeatures:
     def test_roundtrip_bit_identical(self, tmp_path):
         arr = np.random.default_rng(8).normal(size=(16, 150)).astype(np.float32)
         dataset_io.write_feature_file(tmp_path, 3, arr, 50.0)
-        got, rate = load_external_features(tmp_path, 3)
+        got, rate = dataset_io.read_feature_file(tmp_path, 3)
         assert rate == 50.0
         np.testing.assert_array_equal(got, arr)
 
     def test_sidecar_shape_contract(self, tmp_path):
         arr = np.zeros((1024, 150), dtype=np.float32)
         dataset_io.write_feature_file(tmp_path, 0, arr, 50.0)
-        got, rate = load_external_features(tmp_path, 0)
+        got, rate = dataset_io.read_feature_file(tmp_path, 0)
         assert got.shape == (1024, 150)
 
     def test_corrupted_length_reports_sizes(self, tmp_path):
@@ -198,4 +197,4 @@ class TestExternalFeatures:
         path = tmp_path / "features" / "1.bin"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(dataset_io.DatasetFormatError, match="160 bytes.*152"):
-            load_external_features(tmp_path, 1)
+            dataset_io.read_feature_file(tmp_path, 1)

@@ -112,6 +112,25 @@ class TestTrain:
         assert not stopper.update(2, 0.5)  # equal is not an improvement
         assert stopper.update(3, 0.4999999)  # any margin counts
 
+    def test_build_reads_splits_once_and_each_events_file_once(self, tiny_dataset,
+                                                               monkeypatch):
+        from collections import Counter
+
+        from brainspeech.dataset import io as dataset_io
+
+        calls = Counter()
+        for name in ("read_splits", "read_events"):
+            def counted(root, *rest, real=getattr(dataset_io, name), name=name):
+                calls[(name, *rest)] += 1
+                return real(root, *rest)
+
+            monkeypatch.setattr(dataset_io, name, counted)
+        DataPipeline(tiny_dataset, DataConfig(representation="external"))
+        recordings = dataset_io.recording_ids(tiny_dataset)
+        assert len(recordings) == 2
+        assert calls == Counter([("read_splits",)]
+                                + [("read_events", rec_id) for rec_id in recordings])
+
     def test_guard_blocks_test_reads(self, tiny_dataset, tmp_path):
         pipeline = DataPipeline(tiny_dataset, DataConfig(representation="external"))
         pipeline.materialize("test")
@@ -126,10 +145,10 @@ class TestTrain:
 
         splits = dataset_io.read_splits(tiny_dataset)
         for name in ("read_feature_file", "read_audio"):
-            def guarded(root, sid, real=getattr(dataset_io, name), name=name):
+            def guarded(root, sid, *rest, real=getattr(dataset_io, name), name=name):
                 if splits.split_of(sid) == "test":
                     pytest.fail(f"training called {name} for test segment {sid}")
-                return real(root, sid)
+                return real(root, sid, *rest)
 
             monkeypatch.setattr(dataset_io, name, guarded)
         cfg = tiny_train_config(tiny_dataset, **{"training.max_epochs": 1})
@@ -139,7 +158,8 @@ class TestTrain:
         assert np.isfinite(result.best_valid_loss)
 
     def test_materialize_serves_the_split_targets(self, tiny_dataset):
-        from brainspeech.speech import align_feature_rate, load_external_features
+        from brainspeech.dataset import io as dataset_io
+        from brainspeech.speech import align_feature_rate
 
         pipeline = DataPipeline(tiny_dataset, DataConfig(representation="external"))
         for split in ("train", "valid", "test"):
@@ -148,7 +168,7 @@ class TestTrain:
             assert data.candidates.dtype == np.float32
             assert data.candidates.shape[0] == len(data.candidate_ids)
             for sid, target in zip(data.candidate_ids, data.candidates):
-                arr, rate = load_external_features(tiny_dataset, sid)
+                arr, rate = dataset_io.read_feature_file(tiny_dataset, sid)
                 raw = align_feature_rate(arr, rate, pipeline.config.window_s)
                 want = pipeline.feature_stats.apply(raw).astype(np.float32)
                 assert target.tobytes() == want.tobytes()
@@ -222,6 +242,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["training.objective=regression",
                                "speech.representation=external"])
+
+    @pytest.mark.parametrize("override", ["training.lr=abc", "dataset.window_s=3s",
+                                          "training.lr=none", "training.batch_size=none"])
+    def test_unparsable_value_rejected(self, override):
+        key, raw = override.split("=")
+        with pytest.raises(ConfigError, match=f"^bad value for {key}: '{raw}' "):
+            load_config(None, [override])
 
     def test_ablation_flag_validated(self):
         with pytest.raises(ConfigError, match="ablation"):

@@ -171,8 +171,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     benchmark = json.loads(args.benchmark.read_text(encoding="utf-8"))
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
-    if claim and claim[1:] not in [(m["name"],) for m in benchmark["end_to_end"]]:
-        print(f"error: {args.claim!r} names no end-to-end metric", file=sys.stderr)
+    if claim and claim not in [(w["name"], m["name"]) for w in benchmark["workloads"]
+                               for m in benchmark["end_to_end"]]:
+        print(f"error: {args.claim!r} names no workload and end-to-end metric",
+              file=sys.stderr)
         return 2
     result = compare(args.parent, args.change, benchmark, claim)
     if not result["runs"]:
