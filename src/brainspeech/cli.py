@@ -161,10 +161,11 @@ def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
     stored = ckpt["scalers"]
     rec_ids = set(dataset_io.recording_ids(Path(dataset_root)))
     scalers = stored if set(stored) == rec_ids else None
-    if scalers is None:
-        logger.warning("dataset recordings differ from checkpoint; refitting scalers")
-    return DataPipeline(dataset_root, data_cfg, scalers=scalers,
-                        feature_stats=ckpt["feature_stats"])
+    pipeline = DataPipeline(dataset_root, data_cfg, scalers=scalers,
+                            feature_stats=ckpt["feature_stats"])
+    if scalers is None:  # logged once the build has accepted the recordings
+        logger.warning("dataset recordings differ from checkpoint; refitted scalers")
+    return pipeline
 
 
 def cmd_eval(args) -> int:

@@ -241,16 +241,23 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 def read_splits(root: Path) -> SplitAssignment:
     path = Path(root) / "splits.json"
     obj = _load_json(path, ("assignment", "ratios", "seed"))
-    assignment = {int(k): v for k, v in obj["assignment"].items()}
+    assignment = {_as_int(path, "segment id", k): v for k, v in obj["assignment"].items()}
     for sid, split in assignment.items():
         if split not in SPLITS:
             raise DatasetFormatError(f"{path}: segment {sid} has unknown split {split!r}")
     return SplitAssignment(
         assignment=assignment,
         ratios=tuple(obj["ratios"]),
-        seed=int(obj["seed"]),
-        excluded=[int(x) for x in obj.get("excluded", [])],
+        seed=_as_int(path, "seed", obj["seed"]),
+        excluded=[_as_int(path, "excluded segment id", x) for x in obj.get("excluded", [])],
     )
+
+
+def _as_int(path: Path, what: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DatasetFormatError(f"{path}: {what} {value!r} is not an integer") from None
 
 
 def recording_ids(root: Path) -> List[str]:

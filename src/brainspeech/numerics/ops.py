@@ -10,14 +10,12 @@ dtype instead of promoting float32 to float64.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
 
+from .. import twoway
 from .tensor import Tensor, from_op
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -79,66 +77,6 @@ def mean_all(a: Tensor) -> Tensor:
     return from_op(out_data, (a,), backward)
 
 
-# Output size (elements) below which an op runs inline. At B=32, 32 channels
-# and 360 samples (368,640 elements) a desk-width train step measured no
-# faster split than inline; at B=8 and 320 channels (921,600) conv1d's
-# GEMMs take tens of ms against about 30 us to hand half to the pool.
-_SPLIT_MIN_SIZE = 1 << 19
-
-
-class _TwoWaySplit:
-    """Runs the independent halves of an op on the calling thread and one pool thread.
-
-    ``self(n, size, fn)`` calls ``fn(rows)`` with slices ``rows`` covering
-    ``range(n)`` along axis 0: ``slice(0, mid)`` here and ``slice(mid, n)`` on
-    the pool thread. It calls ``fn(slice(None))`` once, inline, when the op's
-    output ``size`` is below ``_SPLIT_MIN_SIZE`` or the process may use only
-    one CPU. Each half writes its own rows of preallocated outputs with
-    unchanged per-element arithmetic, so results are bitwise those of the
-    inline call. The pool thread starts on first use.
-    """
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self._lock = threading.Lock()
-        self._checked = False
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _executor(self) -> Optional[ThreadPoolExecutor]:
-        with self._lock:
-            if not self._checked:
-                if _usable_cpus() > 1:
-                    self._pool = ThreadPoolExecutor(1, "brainspeech-op")
-                self._checked = True
-            return self._pool
-
-    def __call__(self, n: int, size: int, fn: Callable) -> None:
-        pool = self._executor() if n > 1 and size >= _SPLIT_MIN_SIZE else None
-        if pool is None:
-            fn(slice(None))
-            return
-        mid = (n + 1) // 2
-        future = pool.submit(fn, slice(mid, n))
-        try:
-            fn(slice(0, mid))
-        finally:
-            future.result()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-_split = _TwoWaySplit()
-# A forked child inherits no pool thread, so it starts its own when it needs one.
-os.register_at_fork(after_in_child=lambda: _split.reset())
-
-
 def _fill_taps(x: np.ndarray, taps: Sequence[np.ndarray], dilation: int) -> None:
     """Write the same-padded dilated taps of ``x`` along its last axis.
 
@@ -168,7 +106,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
 
     Forward and input gradient run one GEMM per sample and the weight
     gradient one GEMM over all B*T columns, so the per-sample work and the
-    weight gradient's output rows split over two threads (``_split``)
+    weight gradient's output rows split over two threads (``twoway.split``)
     without changing any sum.
     """
     if x.ndim != 3 or w.ndim != 3:
@@ -200,7 +138,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
         if b is not None:
             out_data[rows] += b.data[:, None]
 
-    _split(batch, out_data.size, forward)
+    twoway.split(batch, out_data.size, forward)
 
     # Backward rebuilds the columns from x instead of keeping a k-times copy.
     def backward(g: np.ndarray) -> None:
@@ -234,7 +172,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
                     lo, hi, off = _tap_span(t, k, dilation, j)
                     dxs[..., lo + off : hi + off] += taps[:, :, j, lo:hi]
 
-        _split(batch, g.size, per_sample)
+        twoway.split(batch, g.size, per_sample)
         if need_w:
             cols2 = cols_tm.reshape(batch * t, cin * k)
             g2 = g_cm.reshape(cout, batch * t)
@@ -244,7 +182,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
                 np.dot(g2[rows], cols2, out=dw2[rows])
 
             # a one-row half would run as a GEMV, which sums in another order
-            _split(cout if cout > 3 else 1, g.size, weight_rows)
+            twoway.split(cout if cout > 3 else 1, g.size, weight_rows)
             w.accumulate(dw2.reshape(cout, cin, k))
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2)))
@@ -365,7 +303,7 @@ def gelu(x: Tensor) -> Tensor:
             pdf = np.exp(-0.5 * xs * xs) * _INV_SQRT2PI
             np.multiply(g1[r], cdf1[r] + xs * pdf, out=dx[r])
 
-        _split(len(dx), dx.size, rows)
+        twoway.split(len(dx), dx.size, rows)
         x.accumulate(dx.reshape(x.shape))
 
     return from_op(out_data, (x,), backward)
@@ -395,7 +333,7 @@ def glu(x: Tensor) -> Tensor:
         np.divide(1.0, 1.0 + np.exp(-gate[r]), out=sig[r])
         np.multiply(a[r], sig[r], out=out_data[r])
 
-    _split(x.shape[0], out_data.size, forward)
+    twoway.split(x.shape[0], out_data.size, forward)
 
     def backward(g: np.ndarray) -> None:
         dx = np.empty_like(x.data)
@@ -405,7 +343,7 @@ def glu(x: Tensor) -> Tensor:
             np.multiply(gr, s, out=d[:, :half])
             np.multiply(gr * a[r] * s, 1.0 - s, out=d[:, half:])
 
-        _split(x.shape[0], g.size, rows)
+        twoway.split(x.shape[0], g.size, rows)
         x.accumulate(dx)
 
     return from_op(out_data, (x,), backward)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import twoway
 from .dataset.windows import WORKING_RATE
 
 # Outputs per resampling block, rounded up to a multiple of ``up``. Measured
@@ -68,10 +70,16 @@ def resample(signal: np.ndarray, sr_in: float, sr_out: float = WORKING_RATE) -> 
     rows of ``step`` samples.
 
     Channels run in groups of at least ``_RESAMPLE_ROWS`` such rows (all
-    channels at once when the signal has fewer) through one reused float64
-    buffer, and each group's sums go straight into the output, so the extra
-    memory is a few MB whatever the recording's size. Every output is the
-    same sum in the same order as for the whole signal at once.
+    channels at once when the signal has fewer), and each group's sums go
+    straight into the output. The groups split in two halves, the calling
+    thread's and one pool thread's, through :data:`brainspeech.twoway.split`.
+    The same split serves every two-way site: this one, the halves of
+    :meth:`ScalerParams.fit`'s channel rows, and the batch halves of
+    ``conv1d``, ``glu`` and ``gelu``'s backward. Each half reuses its own
+    float64 input and product buffers, both allocated on the calling thread,
+    so the extra memory is a few MB whatever the recording's size. The pool
+    thread runs only the inner loop, which no profiler wraps by name. Every
+    output is the same sum in the same order as for the whole signal at once.
     """
     signal = np.atleast_2d(np.asarray(signal))
     if sr_out <= 0 or sr_in <= 0:
@@ -110,26 +118,35 @@ def resample(signal: np.ndarray, sr_in: float, sr_out: float = WORKING_RATE) -> 
 
     # extended input from sample ``first`` on: edge values for pad_in samples
     # on both sides, zeros beyond (np.convolve's full mode); the zeros are
-    # never overwritten, so the buffer is cleared once
-    x = np.zeros((width, n_rows * step))
-    prods = np.empty((2, width * n_rows, block))
+    # never overwritten, so each half's buffer is cleared once
     lead = pad_in - first
-    span = min(t_in, x.shape[1] - lead)
+    span = min(t_in, n_rows * step - lead)
     out = np.empty((channels, t_out), dtype=signal.dtype)
-    for c0, c1 in zip(bounds[:-1], bounds[1:]):
-        g = c1 - c0
-        xg = x[:g]
-        xg[:, :lead] = signal[c0:c1, :1]
-        xg[:, lead : lead + span] = signal[c0:c1, :span]
-        xg[:, lead + t_in : lead + t_in + pad_in] = signal[c0:c1, -1:]
-        rows = xg.reshape(g * n_rows, step)
-        acc = np.matmul(rows, taps[:step], out=prods[0, : g * n_rows])
-        acc = acc.reshape(g, n_rows, block)[:, :n_blocks]
-        part = prods[1, : g * n_rows]
-        for j in range(1, n_slices):
-            np.matmul(rows, taps[j * step : (j + 1) * step], out=part)
-            acc += part.reshape(g, n_rows, block)[:, j : j + n_blocks]
-        out[c0:c1] = acc.reshape(g, n_blocks * block)[:, :t_out]
+
+    def resample_groups(groups, x, prods) -> None:
+        for c0, c1 in groups:
+            g = c1 - c0
+            xg = x[:g]
+            xg[:, :lead] = signal[c0:c1, :1]
+            xg[:, lead : lead + span] = signal[c0:c1, :span]
+            xg[:, lead + t_in : lead + t_in + pad_in] = signal[c0:c1, -1:]
+            rows = xg.reshape(g * n_rows, step)
+            acc = np.matmul(rows, taps[:step], out=prods[0, : g * n_rows])
+            acc = acc.reshape(g, n_rows, block)[:, :n_blocks]
+            part = prods[1, : g * n_rows]
+            for j in range(1, n_slices):
+                np.matmul(rows, taps[j * step : (j + 1) * step], out=part)
+                acc += part.reshape(g, n_rows, block)[:, j : j + n_blocks]
+            out[c0:c1] = acc.reshape(g, n_blocks * block)[:, :t_out]
+
+    # each half of the groups gets its own buffers, allocated on this thread
+    groups = list(zip(bounds[:-1], bounds[1:]))
+    split = twoway.split
+    split.run([
+        partial(resample_groups, groups[half], np.zeros((width, n_rows * step)),
+                np.empty((2, width * n_rows, block)))
+        for half in split.halves(n_groups, signal.size + out.size)
+    ])
     return out
 
 
@@ -165,7 +182,21 @@ class ScalerParams:
 
     @classmethod
     def fit(cls, signal: np.ndarray) -> "ScalerParams":
-        q25, med, q75 = np.quantile(signal, [0.25, 0.5, 0.75], axis=1)
+        """Quartiles of each channel of a (C, T) signal.
+
+        One copy of ``signal`` is made here; the halves of its channel rows
+        are partitioned in place, on this thread and the pool thread of
+        :data:`brainspeech.twoway.split`.
+        """
+        data = np.array(signal)
+        quartiles = np.empty((3, data.shape[0]))
+
+        def quartile_rows(rows) -> None:
+            quartiles[:, rows] = np.quantile(data[rows], [0.25, 0.5, 0.75], axis=1,
+                                             overwrite_input=True)
+
+        twoway.split(len(data), data.size, quartile_rows)
+        q25, med, q75 = quartiles
         return cls(q25=q25, median=med, q75=q75)
 
     def apply(self, signal: np.ndarray) -> np.ndarray:

@@ -47,9 +47,8 @@ def mel_filterbank(n_mels: int, frame: int = 512, sr: int = AUDIO_RATE,
 
 
 def frame_signal(audio: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    n = 1 + (len(audio) - frame) // hop
-    idx = np.arange(frame)[None, :] + hop * np.arange(n)[:, None]
-    return audio[idx]
+    """Read-only (frames, frame) view of ``audio``, one row every ``hop`` samples."""
+    return np.lib.stride_tricks.sliding_window_view(audio, frame)[::hop]
 
 
 def mel_spectrogram(audio: np.ndarray, n_mels: int = 120, frame: int = 512,

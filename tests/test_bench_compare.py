@@ -104,3 +104,36 @@ def test_no_pairs_or_unknown_claim_is_an_error(tmp_path):
                                "--benchmark", str(bench), "--claim", "w:wall_s"]) == 2
     assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                                "--benchmark", str(bench), "--claim", "typo:setup_s"]) == 2
+
+
+def write_traced(results, seed, metrics):
+    record = {
+        "workload": "w", "seed": seed, "trace": 1, "error": None,
+        "environment": {"python": "3"},
+        "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()},
+        "operations": [], "checks": [],
+    }
+    (results / f"w-s{seed}-t1.json").write_text(json.dumps(record))
+
+
+def test_traced_change_pairs_each_per_layer_metric(tmp_path):
+    bench = make_results(tmp_path)
+    write_traced(tmp_path / "parent", 1, {"stage.s": 0.8, "stage.calls": 40, "idle.s": 0.0,
+                                          "gone.s": 1.0})
+    write_traced(tmp_path / "change", 1, {"stage.s": 0.6, "stage.calls": 40, "idle.s": 0.0,
+                                          "new.s": 2.0})
+    write_traced(tmp_path / "parent", 2, {"stage.s": 0.9})  # traced on one side only
+    result = run(tmp_path, bench)
+    assert set(result["traced"]) == {"w-s1_parent", "w-s1_change", "w-s2_parent"}
+    assert result["traced_change"] == {"w-s1": {
+        "gone.s": {"parent": 1.0, "change": None, "ratio": None},
+        "idle.s": {"parent": 0.0, "change": 0.0, "ratio": None},
+        "new.s": {"parent": None, "change": 2.0, "ratio": None},
+        "stage.calls": {"parent": 40, "change": 40, "ratio": 1.0},
+        "stage.s": {"parent": 0.8, "change": 0.6, "ratio": 0.75},
+    }}
+
+
+def test_no_traced_records_no_traced_change(tmp_path):
+    result = run(tmp_path, make_results(tmp_path))
+    assert "traced" not in result and "traced_change" not in result

@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 import subprocess
 import wave
@@ -139,6 +140,10 @@ def _unknown_subject(root):
     return root / "recordings" / "s09_r00.bin"
 
 
+def _non_integer_segment_id(root):
+    return _edit_json(root / "splits.json", lambda s: s["assignment"].update({"x": "train"}))
+
+
 def _recording_without_channels(root):
     return _edit_json(root / "recordings" / "s00_r00.json", lambda m: m.pop("channels"))
 
@@ -248,17 +253,19 @@ class TestErrorPaths:
         # a training segment's file: eval reads test targets only
         (_features_without_rate, ("ingest", "train"), "external"),
         (_splits_without_assignment, ("ingest", "train", "eval"), "external"),
+        (_non_integer_segment_id, ("ingest", "train", "eval"), "external"),
         (_three_field_event, ("ingest", "train", "eval"), "external"),
         # eval's checkpoint channel check fires first
         (_manifest_channels, ("ingest", "train"), "external"),
         (_wav_8khz, ("ingest", "train"), "mel"),
     ], ids=["manifest-subjects", "manifest-name", "dev-split", "unknown-subject",
-            "recording-channels", "feature-rate", "splits-assignment", "event-fields",
+            "recording-channels", "feature-rate", "splits-assignment", "splits-id",
+            "event-fields",
             "manifest-channels", "wav-8khz"])
-    def test_malformed_root_rejected(self, workspace, tmp_path, capsys, corrupt, commands,
-                                     representation):
+    def test_malformed_root_rejected(self, workspace, tmp_path, capsys, caplog, corrupt,
+                                     commands, representation):
         """One break of the format gives the same single line from every
-        command that reads the broken file."""
+        command that reads the broken file, and no warning ahead of it."""
         broken = tmp_path / "broken"
         shutil.copytree(workspace / "data", broken)
         path = corrupt(broken)
@@ -277,6 +284,7 @@ class TestErrorPaths:
         assert len(lines[0]) == 1 and lines[0][0].startswith("error category=format: ")
         assert str(path) in lines[0][0]
         assert all(err == lines[0] for err in lines)
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_unparsable_synth_value(self, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text(SYNTH_CFG.replace("seed = 11", "seed = eleven"))

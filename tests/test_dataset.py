@@ -289,3 +289,18 @@ class TestInterchangeValidation:
         again = io.read_splits(tmp_path)
         assert again.assignment == splits.assignment
         assert again.seed == splits.seed
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("seed", "two", "seed 'two'"),
+        ("seed", None, "seed None"),
+        ("excluded", ["y"], "excluded segment id 'y'"),
+    ])
+    def test_splits_non_integer_named(self, tmp_path, key, value, what):
+        io.write_splits(tmp_path, build_splits(make_segments(9), seed=2))
+        path = tmp_path / "splits.json"
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_splits(tmp_path)
+        assert str(err.value) == f"{path}: {what} is not an integer"

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from brainspeech import twoway
 from brainspeech.brain_net import BrainNet, BrainNetConfig
 from brainspeech.numerics import AdamState, BatchNormState, Tensor, adam_step, ops
 from brainspeech.objective import clip_loss_batch
@@ -130,19 +131,6 @@ def run_op(fn, arrays, g, grads=None):
     return out.data, [None if t is None else t.grad for t in tensors]
 
 
-@pytest.fixture(params=["inline", "split"])
-def split_mode(request, monkeypatch):
-    """Force the two-way split on (two CPUs, no size floor) or off (one CPU)."""
-    cpus = 2 if request.param == "split" else 1
-    monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(ops, "_SPLIT_MIN_SIZE", 0)
-    split = ops._TwoWaySplit()
-    monkeypatch.setattr(ops, "_split", split)
-    yield request.param
-    if split._pool is not None:
-        split._pool.shutdown()
-
-
 DTYPES = [np.float32, np.float64]
 BATCHES = [1, 2, 3, 8]
 
@@ -164,7 +152,7 @@ def test_conv1d_bitwise_matches_serial_oracle(split_mode, k, dilation, dtype):
         want = conv1d_oracle(x, w, b, dilation, g)
         for name, got_, want_ in zip(("out", "dx", "dw", "db"), (out, dx, dw, db), want):
             assert_bitwise(got_, want_, f"{name} B={batch}")
-    assert (ops._split._pool is not None) == (split_mode == "split")
+    assert (twoway.split._pool is not None) == (split_mode == "split")
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -249,9 +237,9 @@ def test_gelu_and_glu_bitwise_match_serial_oracles(split_mode, dtype):
 @pytest.fixture
 def fresh_split(monkeypatch):
     """A new, not yet started split with no size floor."""
-    split = ops._TwoWaySplit()
-    monkeypatch.setattr(ops, "_split", split)
-    monkeypatch.setattr(ops, "_SPLIT_MIN_SIZE", 0)
+    split = twoway._TwoWaySplit()
+    monkeypatch.setattr(twoway, "split", split)
+    monkeypatch.setattr(twoway, "_SPLIT_MIN_SIZE", 0)
     yield split
     if split._pool is not None:
         split._pool.shutdown()
@@ -270,8 +258,8 @@ def test_one_cpu_runs_inline_and_starts_no_thread(fresh_split, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was created with one usable CPU")
 
-    monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(ops, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(twoway.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(twoway, "ThreadPoolExecutor", no_pool)
     before = threading.active_count()
     conv_gelu_glu_step()
     assert fresh_split._pool is None
@@ -279,7 +267,7 @@ def test_one_cpu_runs_inline_and_starts_no_thread(fresh_split, monkeypatch):
 
 
 def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatch):
-    monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
     before = threading.active_count()
     cfg = BrainNetConfig(in_channels=32, out_features=16, n_subjects=2, d1=32, d2=32,
                          harmonics=8)
@@ -302,7 +290,7 @@ def test_concurrent_callers_share_one_pool(fresh_split, monkeypatch):
     """Six threads on two CPUs with a short switch interval: one pool thread
     is started and every caller gets the result of a sequential run."""
     created = []
-    executor = ops.ThreadPoolExecutor
+    executor = twoway.ThreadPoolExecutor
 
     def counting_executor(*args, **kwargs):
         created.append(1)
@@ -312,12 +300,12 @@ def test_concurrent_callers_share_one_pool(fresh_split, monkeypatch):
         time.sleep(0.01)  # widens the window between the pool check and its creation
         return 2
 
-    monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(ops, "_split", ops._TwoWaySplit())
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(twoway, "split", twoway._TwoWaySplit())
     want = [conv_gelu_glu_step(seed).tobytes() for seed in range(2)]
-    monkeypatch.setattr(ops, "_split", fresh_split)
-    monkeypatch.setattr(ops, "_usable_cpus", slow_two_cpus)
-    monkeypatch.setattr(ops, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(twoway, "split", fresh_split)
+    monkeypatch.setattr(twoway, "_usable_cpus", slow_two_cpus)
+    monkeypatch.setattr(twoway, "ThreadPoolExecutor", counting_executor)
     before = threading.active_count()
     results = {}
 
@@ -345,7 +333,7 @@ def _child_step(queue):
 
 
 def test_forked_child_gets_its_own_pool(fresh_split, monkeypatch):
-    monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
     want = conv_gelu_glu_step()  # starts the parent's pool thread
     assert fresh_split._pool is not None
     ctx = multiprocessing.get_context("fork")

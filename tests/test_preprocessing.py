@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brainspeech import twoway
 from brainspeech.preprocessing import (
     _RESAMPLE_BLOCK,
     DegenerateChannel,
@@ -206,6 +207,24 @@ class TestResampleMatchesWholeSignal:
         assert got.dtype == np.float32 and got.shape == want.shape == (64, 42_180)
         assert got.tobytes() == want.tobytes()
 
+    def test_benchmark_recording_byte_identical_with_split_forced(self, split_mode, recording):
+        got = resample(recording, 600.0, 120.0)
+        assert got.tobytes() == whole_signal_resample(recording, 600.0, 120.0).tobytes()
+        assert (twoway.split._pool is not None) == (split_mode == "split")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_identical_with_split_forced(self, split_mode, dtype):
+        """Each half of the channel groups, with its own buffers, gives the
+        whole-signal bytes, on two threads and on one."""
+        rng = np.random.default_rng(8)
+        for rates in RATE_PAIRS + [(300.0, 250.0)]:
+            for length, channels in ((1000, 64), (12345, 64), (60000, 8)):
+                x = rng.normal(size=(channels, length)).astype(dtype)
+                got = resample(x, *rates)
+                want = whole_signal_resample(x, *rates)
+                assert got.tobytes() == want.tobytes(), (rates, length, channels)
+        assert (twoway.split._pool is not None) == (split_mode == "split")
+
     def test_peak_allocation_below_half_the_input(self, recording):
         tracemalloc.start()
         try:
@@ -276,6 +295,33 @@ class TestRobustScale:
         base = ScalerParams.fit(x).apply(x)
         moved = ScalerParams.fit(a * x + b).apply(a * x + b)
         np.testing.assert_allclose(base, moved, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_matches_whole_signal_quantiles(self, split_mode, dtype):
+        """The halves of the channel rows, partitioned in place on two threads
+        or on one, give np.quantile's bytes and leave the input untouched."""
+        rng = np.random.default_rng(9)
+        for channels, length in ((1, 50), (2, 7), (5, 1000), (64, 4001)):
+            for x in (rng.standard_t(3, size=(channels, length)).astype(dtype),
+                      np.round(rng.normal(size=(channels, length)) * 2).astype(dtype)):
+                kept = x.copy()
+                params = ScalerParams.fit(x)
+                want = np.quantile(kept, [0.25, 0.5, 0.75], axis=1)
+                for got, w in zip((params.q25, params.median, params.q75), want):
+                    assert got.dtype == np.float64 and got.tobytes() == w.tobytes()
+                assert x.tobytes() == kept.tobytes()
+        assert (twoway.split._pool is not None) == (split_mode == "split")
+
+    def test_fit_allocates_at_most_one_copy(self, split_mode):
+        ScalerParams.fit(np.arange(8.0).reshape(2, 4))  # numpy's first quantile imports numpy.ma
+        x = np.random.default_rng(10).normal(size=(64, 50_000)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ScalerParams.fit(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + (64 << 10)
 
     def test_roundtrip_dict(self):
         p = ScalerParams.fit(np.random.default_rng(6).normal(size=(2, 100)))

@@ -20,7 +20,9 @@ change won (ties count for neither side), and one verdict:
   its median, and not every run of the change beats every run of the parent;
 - ``within bound``: otherwise.
 
-Traced records (``-t1.json``) are summarised when present. The result is
+Traced records (``-t1.json``) are summarised when present, and for each
+workload and seed traced on both sides ``traced_change`` pairs every per-layer
+metric: the parent's value, the change's and their ratio. The result is
 written as JSON to ``--out`` or printed.
 """
 
@@ -106,6 +108,15 @@ def compare_metric(parent: list, change: list, spec: dict, claimed: bool,
     }
 
 
+def traced_delta(parent, change) -> dict:
+    """One per-layer metric on both sides; ``ratio`` is change / parent, or
+    None where a side lacks the metric or the parent's value is 0."""
+    ratio = None
+    if parent is not None and change is not None and parent != 0:
+        ratio = round(change / parent, 4)
+    return {"parent": parent, "change": change, "ratio": ratio}
+
+
 def compare(parent_dir: Path, change_dir: Path, benchmark: dict, claim=None) -> dict:
     parent, change = read_records(parent_dir, 0), read_records(change_dir, 0)
     out = {"claim": None, "probs_sha256_equal_per_seed": {}, "end_to_end": {},
@@ -142,8 +153,8 @@ def compare(parent_dir: Path, change_dir: Path, benchmark: dict, claim=None) -> 
                             "parent_iqr": stats["parent_iqr"],
                             "met": stats["verdict"] == "claim met"}
     traced = {}
-    for side, recs in (("parent", read_records(parent_dir, 1)),
-                       ("change", read_records(change_dir, 1))):
+    traced_recs = {"parent": read_records(parent_dir, 1), "change": read_records(change_dir, 1)}
+    for side, recs in traced_recs.items():
         for name, by_seed in recs.items():
             for seed, rec in by_seed.items():
                 summary = run_summary(rec)
@@ -153,6 +164,16 @@ def compare(parent_dir: Path, change_dir: Path, benchmark: dict, claim=None) -> 
                     "metrics": {k: v["value"] for k, v in rec["metrics"].items()}}
     if traced:
         out["traced"] = dict(sorted(traced.items()))
+    traced_change = {}
+    for name in sorted(set(traced_recs["parent"]) & set(traced_recs["change"])):
+        p_seeds, c_seeds = traced_recs["parent"][name], traced_recs["change"][name]
+        for seed in sorted(set(p_seeds) & set(c_seeds)):
+            p = {k: v["value"] for k, v in p_seeds[seed]["metrics"].items()}
+            c = {k: v["value"] for k, v in c_seeds[seed]["metrics"].items()}
+            traced_change[f"{name}-s{seed}"] = {
+                k: traced_delta(p.get(k), c.get(k)) for k in sorted(set(p) | set(c))}
+    if traced_change:
+        out["traced_change"] = traced_change
     envs = [r["environment"] for by_seed in parent.values() for r in by_seed.values()]
     if envs:
         out["environment"] = {k: envs[0].get(k)
