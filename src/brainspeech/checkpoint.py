@@ -1,9 +1,14 @@
-"""Checkpoint serialization: JSON manifest plus raw float32 blobs.
+"""Checkpoint serialization: a JSON manifest plus one float32 state blob.
 
-``manifest.json`` carries names, shapes, seeds, the full run config, the
-per-recording scaler statistics and feature normalization; ``params.bin``
-holds every parameter little-endian float32 in manifest order, and
-``adam.bin`` both Adam moment buffers in the same order.
+``state-<first 16 hex of its sha256>.bin`` holds every parameter, then every
+BatchNorm running mean and variance, little-endian float32 in manifest order.
+``manifest.json`` carries names, shapes, seeds, the run config, the scaler
+statistics, the feature normalization, and the blob's name and sha256.
+Replacing the manifest is a save's one commit point; older blobs are deleted
+after it. So a save cut short at any point leaves the old checkpoint or the
+new one, never a mix. A load checks the manifest against the rebuilt nets,
+then the blob's length and sha256. Format-1 checkpoints (``params.bin``,
+``bn.bin``, ``adam.bin``) are rejected: retrain them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .brain_net import BrainNet, BrainNetConfig
-from .numerics import AdamState
+from .config import Config
 from .preprocessing import ScalerParams
 from .speech import FeatureStats
 
@@ -52,48 +57,35 @@ def _entries(brain: BrainNet, deep_mel: Optional[BrainNet], attr: str) -> List[t
 def save_checkpoint(
     out_dir,
     brain: BrainNet,
-    run_config: dict,
+    config: Config,
     scalers: Dict[str, ScalerParams],
     feature_stats: FeatureStats,
     deep_mel: Optional[BrainNet] = None,
-    adam: Optional[AdamState] = None,
     extra: Optional[dict] = None,
 ) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     params = _entries(brain, deep_mel, "params")
-    entries = [{"name": name, "shape": list(p.shape)} for name, p in params]
-    _atomic_write(out_dir / "params.bin",
-                  b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-                           for _, p in params))
+    states = _entries(brain, deep_mel, "bn_states")
+    arrays = [p.data for _, p in params] + [
+        a for _, st in states for a in (st.running_mean, st.running_var)]
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
+    digest = hashlib.sha256(blob).hexdigest()
+    blob_name = f"state-{digest[:16]}.bin"
+    _atomic_write(out_dir / blob_name, blob)
 
-    bn_entries = []
-    bn_blobs = []
-    for name, st in _entries(brain, deep_mel, "bn_states"):
-        bn_entries.append(
-            {"name": name, "channels": int(st.running_mean.shape[0]),
-             "initialized": bool(st.initialized), "momentum": st.momentum,
-             "eps": st.eps}
-        )
-        bn_blobs.append(np.ascontiguousarray(st.running_mean, dtype="<f4").tobytes())
-        bn_blobs.append(np.ascontiguousarray(st.running_var, dtype="<f4").tobytes())
-    _atomic_write(out_dir / "bn.bin", b"".join(bn_blobs))
-
-    if adam is not None:
-        _atomic_write(out_dir / "adam.bin", b"".join(
-            np.ascontiguousarray(moments[p.name], dtype="<f4").tobytes()
-            for moments in (adam.m, adam.v) for _, p in params
-        ))
-
+    run_config = config.to_dict()
     manifest = {
-        "format": 1,
+        "format": 2,
         "config": run_config,
         "config_hash": config_hash(run_config),
-        "params": entries,
-        "bn": bn_entries,
-        "adam": {"step": adam.step, "lr": adam.lr, "beta1": adam.beta1,
-                 "beta2": adam.beta2, "eps": adam.eps} if adam is not None else None,
+        "blob": blob_name,
+        "sha256": digest,
+        "params": [{"name": name, "shape": list(p.shape)} for name, p in params],
+        "bn": [{"name": name, "channels": int(st.running_mean.shape[0]),
+                "initialized": bool(st.initialized), "momentum": st.momentum,
+                "eps": st.eps} for name, st in states],
         "brain_config": brain.config.to_dict(),
         "deep_mel_config": deep_mel.config.to_dict() if deep_mel is not None else None,
         "scalers": {k: v.to_dict() for k, v in sorted(scalers.items())},
@@ -104,35 +96,32 @@ def save_checkpoint(
         out_dir / "manifest.json",
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
     )
+    for stale in out_dir.glob("state-*"):
+        if stale.name != blob_name:
+            stale.unlink()
     return out_dir
 
 
-def _read_blob(path: Path, stored: List[tuple], rebuilt: List[tuple]) -> bytes:
-    """The blob whose manifest entries ``stored`` must equal the rebuilt net's
-    (name, shape) list, in order, and whose length must match those shapes."""
+def _check_entries(what: str, stored: List[tuple], rebuilt: List[tuple]) -> None:
+    """The manifest's ``what`` entries must equal the rebuilt net's, in order."""
     for i, (entry, want) in enumerate(zip_longest(stored, rebuilt)):
         if entry != want:
-            raise ValueError(f"manifest.json: {path.stem} entry {i} is {entry} but the "
+            raise ValueError(f"manifest.json: {what} entry {i} is {entry} but the "
                              f"rebuilt net has {want}")
-    raw = path.read_bytes()
-    expected = 4 * sum(int(np.prod(shape)) for _, shape in rebuilt)
-    if len(raw) != expected:
-        raise ValueError(f"{path.name}: expected {expected} bytes per manifest, found {len(raw)}")
-    return raw
 
 
 def load_checkpoint(ckpt_dir) -> dict:
-    """Rebuild networks and preprocessing state from a checkpoint directory.
+    """Rebuild networks, run config and preprocessing state from a checkpoint.
 
-    Raises ``ValueError`` unless the manifest is format 1, names exactly the
+    Raises ``ValueError`` unless the manifest is format 2, names exactly the
     rebuilt networks' parameters and BatchNorm layers with their shapes, and
-    every blob holds as many bytes as the manifest says. A missing manifest
-    key or an unknown config field is a ``ValueError`` too.
+    its blob has as many bytes as those shapes and the manifest's sha256. A
+    missing manifest key or an unknown config field is a ``ValueError`` too.
     """
     ckpt_dir = Path(ckpt_dir)
     manifest = json.loads((ckpt_dir / "manifest.json").read_text())
-    if manifest.get("format") != 1:
-        raise ValueError(f"manifest.json: checkpoint format {manifest.get('format')!r} is not 1")
+    if manifest.get("format") != 2:
+        raise ValueError(f"manifest.json: checkpoint format {manifest.get('format')!r} is not 2")
     try:
         return _rebuild(ckpt_dir, manifest)
     except KeyError as exc:
@@ -150,32 +139,40 @@ def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
                             np.random.default_rng(0), prefix="deepmel.")
 
     params = _entries(brain, deep_mel, "params")
-    raw = _read_blob(ckpt_dir / "params.bin",
-                     [(e["name"], tuple(e["shape"])) for e in manifest["params"]],
-                     [(name, p.shape) for name, p in params])
+    states = _entries(brain, deep_mel, "bn_states")
+    _check_entries("params", [(e["name"], tuple(e["shape"])) for e in manifest["params"]],
+                   [(name, p.shape) for name, p in params])
+    _check_entries("bn", [(e["name"], (2, e["channels"])) for e in manifest["bn"]],
+                   [(name, (2, st.running_mean.shape[0])) for name, st in states])
+    blob_name = manifest["blob"]
+    if blob_name != Path(blob_name).name or not blob_name.startswith("state-"):
+        raise ValueError(f"manifest.json: blob {blob_name!r} is not a state-* file name")
+    raw = (ckpt_dir / blob_name).read_bytes()
+    expected = 4 * (sum(p.size for _, p in params)
+                    + sum(2 * st.running_mean.shape[0] for _, st in states))
+    if len(raw) != expected:
+        raise ValueError(f"{blob_name}: expected {expected} bytes per manifest, "
+                         f"found {len(raw)}")
+    digest = hashlib.sha256(raw).hexdigest()
+    if digest != manifest["sha256"]:
+        raise ValueError(f"{blob_name}: sha256 {digest} does not match the manifest's "
+                         f"{manifest['sha256']}")
+
     offset = 0
     for _, p in params:
         p.data = np.frombuffer(raw, "<f4", p.size, offset).reshape(p.shape).astype(np.float32)
         offset += 4 * p.size
-
-    states = _entries(brain, deep_mel, "bn_states")
-    bn_raw = _read_blob(ckpt_dir / "bn.bin",
-                        [(e["name"], (2, e["channels"])) for e in manifest["bn"]],
-                        [(name, (2, st.running_mean.shape[0])) for name, st in states])
-    offset = 0
     for entry, (_, st) in zip(manifest["bn"], states):
         c = entry["channels"]
         st.running_mean, st.running_var = np.frombuffer(
-            bn_raw, "<f4", count=2 * c, offset=offset
-        ).reshape(2, c).astype(np.float32)
+            raw, "<f4", 2 * c, offset).reshape(2, c).astype(np.float32)
         st.momentum = entry["momentum"]
         st.eps = entry["eps"]
         st.initialized = entry["initialized"]
         offset += 8 * c
 
     return {
-        "manifest": manifest,
-        "config": manifest["config"],
+        "config": Config.from_dict(manifest["config"]),
         "brain": brain,
         "deep_mel": deep_mel,
         "scalers": {k: ScalerParams.from_dict(v) for k, v in manifest["scalers"].items()},

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint
-from .config import Config, ConfigError, load_config, parse_value
+from .config import ConfigError, load_config, parse_value
 from .dataset import SynthSpec, generate_synthetic
 from .dataset import io as dataset_io
 from .dataset.validate import validate_dataset
@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
 
 
 def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
-    data_cfg = data_config_from(Config.from_dict(ckpt["config"]))
+    data_cfg = data_config_from(ckpt["config"])
     manifest = dataset_io.read_manifest(Path(dataset_root))
     if abs(float(manifest.get("window_s", data_cfg.window_s)) - data_cfg.window_s) > 1e-9:
         raise CliError(
@@ -173,7 +173,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     config = ckpt["config"]
     pipeline = _pipeline_for_checkpoint(ckpt, args.dataset)
-    objective = config["training"]["objective"]
+    objective = config.training.objective
     report = score_test_set(
         ckpt["brain"], pipeline, objective=objective, deep_mel=ckpt["deep_mel"],
         subject_fallback=args.subject_fallback,
@@ -184,7 +184,7 @@ def cmd_eval(args) -> int:
     wl = word_level_eval(report)
     per_subject = per_subject_topk(report, min(10, report.n_candidates))
     subj_vals = np.array(list(per_subject.values()), dtype=float)
-    restricted_n = min(config["eval"]["restricted_n"], report.n_candidates)
+    restricted_n = min(config.eval.restricted_n, report.n_candidates)
     zero_shot = zero_shot_split(report, pipeline.train_vocabulary())
     payload = {
         "dataset": str(args.dataset),
@@ -195,10 +195,10 @@ def cmd_eval(args) -> int:
         "topk": {
             str(k): topk_accuracy(report, k)
             for k in sorted({1, min(10, report.n_candidates),
-                             *[k for k in config["eval"]["topk"]
+                             *[k for k in config.eval.topk
                                if k <= report.n_candidates]})
         },
-        "tie_trials": report.metadata.get("tie_trials", 0),
+        "tie_trials": report.tie_trials,
         "duplicate_candidates": report.duplicate_candidates,
         "per_subject_top10": {str(k): v for k, v in per_subject.items()},
         "subject_mean_top10": float(subj_vals.mean()),
@@ -207,7 +207,7 @@ def cmd_eval(args) -> int:
         "word_level": {"top1": wl.top1, "top10": wl.top10,
                        "vocabulary": len(wl.word_order)},
         "restricted": restricted_candidates(report, n=restricted_n,
-                                            seed=config["eval"]["restricted_seed"])
+                                            seed=config.eval.restricted_seed)
         if restricted_n >= 2 else None,
         "zero_shot": zero_shot,
         "true_word_prob": [float(v) for v in wl.true_word_prob()],
@@ -257,7 +257,7 @@ def cmd_eval(args) -> int:
                        indent=2, sort_keys=True) + "\n", encoding="utf-8",
         )
 
-    _write_run_json(out_dir, "eval", config, started,
+    _write_run_json(out_dir, "eval", config.to_dict(), started,
                     extra={"topk": payload["topk"]})
     print(json.dumps({"topk": payload["topk"], "word_top10": wl.top10}))
     return 0

@@ -128,7 +128,9 @@ def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
         raise DatasetFormatError(
             f"{path}: {meta['channels']} channels, manifest says {manifest['channels']}")
     signal = _read_matrix(rec_dir / f"{recording_id}.bin",
-                          int(meta["channels"]), int(meta["samples"]))
+                          _as_number(path, "channels", meta["channels"]),
+                          _as_number(path, "samples", meta["samples"]))
+    sample_rate = _as_number(path, "sample_rate", meta["sample_rate"], float)
     try:
         return Recording(
             recording_id=recording_id,
@@ -136,7 +138,7 @@ def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
             channel_names=list(meta["channel_names"]),
             positions=np.asarray(meta["positions"], dtype=np.float64),
             signal=signal,
-            sample_rate=float(meta["sample_rate"]),
+            sample_rate=sample_rate,
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
@@ -220,10 +222,12 @@ def write_feature_file(root: Path, segment_id: int, features: np.ndarray, featur
 
 def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
     ft_dir = Path(root) / "features"
-    meta = _load_json(ft_dir / f"{segment_id}.json", ("features", "samples", "feature_rate"))
-    arr = _read_matrix(ft_dir / f"{segment_id}.bin", int(meta["features"]),
-                       int(meta["samples"]))
-    return arr, float(meta["feature_rate"])
+    path = ft_dir / f"{segment_id}.json"
+    meta = _load_json(path, ("features", "samples", "feature_rate"))
+    arr = _read_matrix(ft_dir / f"{segment_id}.bin",
+                       _as_number(path, "features", meta["features"]),
+                       _as_number(path, "samples", meta["samples"]))
+    return arr, _as_number(path, "feature_rate", meta["feature_rate"], float)
 
 
 def write_splits(root: Path, splits: SplitAssignment) -> None:
@@ -241,23 +245,25 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 def read_splits(root: Path) -> SplitAssignment:
     path = Path(root) / "splits.json"
     obj = _load_json(path, ("assignment", "ratios", "seed"))
-    assignment = {_as_int(path, "segment id", k): v for k, v in obj["assignment"].items()}
+    assignment = {_as_number(path, "segment id", k): v for k, v in obj["assignment"].items()}
     for sid, split in assignment.items():
         if split not in SPLITS:
             raise DatasetFormatError(f"{path}: segment {sid} has unknown split {split!r}")
     return SplitAssignment(
         assignment=assignment,
         ratios=tuple(obj["ratios"]),
-        seed=_as_int(path, "seed", obj["seed"]),
-        excluded=[_as_int(path, "excluded segment id", x) for x in obj.get("excluded", [])],
+        seed=_as_number(path, "seed", obj["seed"]),
+        excluded=[_as_number(path, "excluded segment id", x) for x in obj.get("excluded", [])],
     )
 
 
-def _as_int(path: Path, what: str, value) -> int:
+def _as_number(path: Path, what: str, value, kind=int):
+    """``kind(value)``, or a :class:`DatasetFormatError` naming ``path``."""
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise DatasetFormatError(f"{path}: {what} {value!r} is not an integer") from None
+        noun = "an integer" if kind is int else "a number"
+        raise DatasetFormatError(f"{path}: {what} {value!r} is not {noun}") from None
 
 
 def recording_ids(root: Path) -> List[str]:

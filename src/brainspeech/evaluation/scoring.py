@@ -29,7 +29,8 @@ class EvalReport:
     anchor_words: List[str]  # per candidate, normalized
     trial_subjects: np.ndarray  # (trials,)
     duplicate_candidates: List[Tuple[int, int]] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    ranks: np.ndarray = field(init=False)  # (trials,) 0-based rank of the true candidate
+    tie_trials: int = field(init=False)  # trials whose true candidate ties another
 
     def __post_init__(self):
         sums = self.probs.sum(axis=1)
@@ -38,6 +39,7 @@ class EvalReport:
         n = self.probs.shape[1]
         if np.any(self.true_index < 0) or np.any(self.true_index >= n):
             raise ValueError("true index out of range")
+        self.ranks, self.tie_trials = true_ranks(self.probs, self.true_index)
 
     @property
     def n_trials(self) -> int:
@@ -104,7 +106,6 @@ def score_test_set(
                       for sid in data.candidate_ids],
         trial_subjects=data.subject_idx,
         duplicate_candidates=_find_duplicates(probs),
-        metadata={"split": split, "objective": objective},
     )
 
 
@@ -112,17 +113,13 @@ def topk_accuracy(report: EvalReport, k: int) -> float:
     """Percentage of trials whose true candidate ranks within the top k."""
     if k > report.n_candidates:
         raise ValueError(f"k={k} exceeds {report.n_candidates} candidates")
-    ranks, ties = true_ranks(report.probs, report.true_index)
-    report.metadata.setdefault("tie_trials", ties)
-    return float((ranks < k).mean() * 100.0)
+    return float((report.ranks < k).mean() * 100.0)
 
 
 def per_subject_topk(report: EvalReport, k: int) -> Dict[int, float]:
     out = {}
     for s in np.unique(report.trial_subjects):
-        mask = report.trial_subjects == s
-        ranks, _ = true_ranks(report.probs[mask], report.true_index[mask])
-        out[int(s)] = float((ranks < k).mean() * 100.0)
+        out[int(s)] = float((report.ranks[report.trial_subjects == s] < k).mean() * 100.0)
     return out
 
 

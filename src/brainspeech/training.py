@@ -172,7 +172,6 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
     ckpt_dir = out_dir / "best"
     history: List[dict] = []
     stopper = EarlyStopper(tc.patience)
-    run_config = config.to_dict()
 
     def write_history() -> None:
         with open(out_dir / "history.csv", "w", newline="", encoding="utf-8") as fh:
@@ -247,8 +246,8 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
 
             if stopper.update(epoch, valid_loss):
                 save_checkpoint(
-                    ckpt_dir, brain, run_config, pipeline.scalers,
-                    pipeline.feature_stats, deep_mel=deep_mel, adam=adam,
+                    ckpt_dir, brain, config, pipeline.scalers,
+                    pipeline.feature_stats, deep_mel=deep_mel,
                     extra={"best_epoch": stopper.best_epoch,
                            "best_valid_loss": stopper.best, "seed": tc.seed},
                 )

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+import re
 import shutil
 import subprocess
 import wave
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import brainspeech.cli
+from brainspeech import checkpoint
 from brainspeech.checkpoint import load_checkpoint, save_checkpoint
 from brainspeech.cli import _pipeline_for_checkpoint, _version_stamp, main
 from brainspeech.dataset import io as dataset_io
@@ -63,6 +66,14 @@ class TestPipelineSmoke:
         header = (workspace / "run" / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,train_loss,valid_loss,valid_top10"
 
+    def test_best_holds_manifest_and_one_blob(self, workspace):
+        best = workspace / "run" / "best"
+        manifest = json.loads((best / "manifest.json").read_text())
+        assert sorted(p.name for p in best.iterdir()) == ["manifest.json", manifest["blob"]]
+        assert re.fullmatch(r"state-[0-9a-f]{16}\.bin", manifest["blob"])
+        assert manifest["blob"] == f"state-{manifest['sha256'][:16]}.bin"
+        assert "adam" not in manifest
+
     def test_eval_outputs(self, workspace):
         out = workspace / "eval"
         assert main(["eval", "--checkpoint", str(workspace / "run" / "best"),
@@ -74,6 +85,9 @@ class TestPipelineSmoke:
         assert raw.size == probs_meta["trials"] * probs_meta["candidates"]
         assert (out / "words.csv").exists()
         assert (out / "recon" / "0.bin").exists()
+        run = json.loads((out / "run.json").read_text())
+        trained = json.loads((workspace / "run" / "run.json").read_text())
+        assert run["config"] == trained["config"]
 
     def test_eval_rerun_byte_identical(self, workspace):
         a = workspace / "eval_a"
@@ -151,6 +165,14 @@ def _recording_without_channels(root):
 def _features_without_rate(root):
     return _edit_json(root / "features" / f"{_first_train_segment(root)}.json",
                       lambda m: m.pop("feature_rate"))
+
+
+def _null_sidecar_value(folder, key):
+    """``null`` as ``key`` of a recording's or a training segment's feature sidecar."""
+    def corrupt(root):
+        stem = "s00_r00" if folder == "recordings" else _first_train_segment(root)
+        return _edit_json(root / folder / f"{stem}.json", lambda m: m.update({key: None}))
+    return corrupt
 
 
 def _splits_without_assignment(root):
@@ -252,6 +274,12 @@ class TestErrorPaths:
         (_recording_without_channels, ("ingest", "train", "eval"), "external"),
         # a training segment's file: eval reads test targets only
         (_features_without_rate, ("ingest", "train"), "external"),
+        (_null_sidecar_value("recordings", "samples"), ("ingest", "train", "eval"),
+         "external"),
+        (_null_sidecar_value("recordings", "sample_rate"), ("ingest", "train", "eval"),
+         "external"),
+        (_null_sidecar_value("features", "samples"), ("ingest", "train"), "external"),
+        (_null_sidecar_value("features", "feature_rate"), ("ingest", "train"), "external"),
         (_splits_without_assignment, ("ingest", "train", "eval"), "external"),
         (_non_integer_segment_id, ("ingest", "train", "eval"), "external"),
         (_three_field_event, ("ingest", "train", "eval"), "external"),
@@ -259,7 +287,9 @@ class TestErrorPaths:
         (_manifest_channels, ("ingest", "train"), "external"),
         (_wav_8khz, ("ingest", "train"), "mel"),
     ], ids=["manifest-subjects", "manifest-name", "dev-split", "unknown-subject",
-            "recording-channels", "feature-rate", "splits-assignment", "splits-id",
+            "recording-channels", "feature-rate", "recording-samples-null",
+            "recording-rate-null", "feature-samples-null", "feature-rate-null",
+            "splits-assignment", "splits-id",
             "event-fields",
             "manifest-channels", "wav-8khz"])
     def test_malformed_root_rejected(self, workspace, tmp_path, capsys, caplog, corrupt,
@@ -388,55 +418,71 @@ class TestCheckpointRoundtrip:
         np.testing.assert_array_equal(a.probs, b.probs)
 
 
+def _edit_manifest(ckpt, edit):
+    return _edit_json(ckpt / "manifest.json", edit)
+
+
+def _blob(ckpt):
+    return ckpt / json.loads((ckpt / "manifest.json").read_text())["blob"]
+
+
 def _set_format(ckpt):
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["format"] = 2
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _edit_manifest(ckpt, lambda m: m.update(format=1))
 
 
 def _truncate_bn(ckpt):
-    bn = ckpt / "bn.bin"
-    bn.write_bytes(bn.read_bytes()[:-8])
+    blob = _blob(ckpt)
+    blob.write_bytes(blob.read_bytes()[:-8])
 
 
 def _rename_param(ckpt):
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["params"][-1]["name"] = "head.conv9.b"
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _edit_manifest(ckpt, lambda m: m["params"][-1].update(name="head.conv9.b"))
 
 
 def _drop_param(ckpt):
+    """Drop the last parameter from the manifest and its bytes from the blob."""
     manifest = json.loads((ckpt / "manifest.json").read_text())
+    end = 4 * sum(int(np.prod(e["shape"])) for e in manifest["params"])
     size = 4 * int(np.prod(manifest["params"].pop()["shape"]))
+    blob = _blob(ckpt)
+    raw = blob.read_bytes()
+    blob.write_bytes(raw[:end - size] + raw[end:])
+    manifest["sha256"] = hashlib.sha256(blob.read_bytes()).hexdigest()
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    params = ckpt / "params.bin"
-    params.write_bytes(params.read_bytes()[:-size])
 
 
 def _drop_bn(ckpt):
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    del manifest["bn"]
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _edit_manifest(ckpt, lambda m: m.pop("bn"))
 
 
 def _add_config_field(ckpt):
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["brain_config"]["width"] = 3
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _edit_manifest(ckpt, lambda m: m["brain_config"].update(width=3))
+
+
+def _flip_blob_byte(ckpt):
+    blob = _blob(ckpt)
+    raw = bytearray(blob.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    blob.write_bytes(bytes(raw))
+
+
+def _blob_outside(ckpt):
+    _edit_manifest(ckpt, lambda m: m.update(blob=f"../best/{m['blob']}"))
 
 
 class TestCheckpointValidation:
     """A checkpoint that does not match its manifest fails eval with one line."""
 
     @pytest.mark.parametrize("corrupt, needle", [
-        (_set_format, "checkpoint format 2 is not 1"),
-        (_truncate_bn, "bn.bin: expected"),
+        (_set_format, "checkpoint format 1 is not 2"),
+        (_truncate_bn, ".bin: expected"),
         (_rename_param, "head.conv9.b"),
         (_drop_param, "is None but the rebuilt net has ('subject.m'"),
         (_drop_bn, "manifest.json: missing key 'bn'"),
         (_add_config_field, "unexpected keyword argument 'width'"),
+        (_blob_outside, "is not a state-* file name"),
     ], ids=["format", "bn-length", "unknown-param", "missing-param", "missing-key",
-            "unknown-config-field"])
+            "unknown-config-field", "blob-path"])
     def test_eval_rejects(self, workspace, tmp_path, capsys, corrupt, needle):
         ckpt = tmp_path / "best"
         shutil.copytree(workspace / "run" / "best", ckpt)
@@ -446,6 +492,95 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error category=invalid: ")
         assert needle in err[0]
+
+    def test_flipped_byte_names_both_hashes(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "best"
+        shutil.copytree(workspace / "run" / "best", ckpt)
+        blob = _blob(ckpt)
+        stored = json.loads((ckpt / "manifest.json").read_text())["sha256"]
+        _flip_blob_byte(ckpt)
+        found = hashlib.sha256(blob.read_bytes()).hexdigest()
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                     str(workspace / "data"), "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error category=invalid: {blob.name}: sha256 {found} does not match "
+            f"the manifest's {stored}"]
+
+
+class _Stop(BaseException):
+    """Stands for a kill: nothing in the save may catch it."""
+
+
+def _net_state(ckpt):
+    nets = [ckpt["brain"]] + ([ckpt["deep_mel"]] if ckpt["deep_mel"] is not None else [])
+    return ([p.data.tobytes() for net in nets for _, p in sorted(net.params.items())]
+            + [st.running_mean.tobytes() + st.running_var.tobytes()
+               for net in nets for _, st in sorted(net.bn_states.items())])
+
+
+class TestCheckpointCommit:
+    """A save stopped anywhere leaves the old checkpoint or the new one."""
+
+    def _save(self, ckpt, directory):
+        save_checkpoint(directory, ckpt["brain"], ckpt["config"], ckpt["scalers"],
+                        ckpt["feature_stats"], deep_mel=ckpt["deep_mel"])
+
+    def test_stop_at_each_boundary_loads_old_or_new(self, workspace, tmp_path, monkeypatch):
+        best = workspace / "run" / "best"
+        old = _net_state(load_checkpoint(best))
+        ckpt = load_checkpoint(best)
+        assert ckpt["brain"].bn_states
+        for p in ckpt["brain"].params.values():
+            p.data = p.data + np.float32(1.0)
+        for st in ckpt["brain"].bn_states.values():
+            st.running_mean = st.running_mean + np.float32(1.0)
+            st.running_var = st.running_var * np.float32(2.0)
+        new = _net_state(ckpt)
+        real_write = checkpoint._atomic_write
+
+        writes = []
+        monkeypatch.setattr(checkpoint, "_atomic_write",
+                            lambda path, data: (writes.append(path.name), real_write(path, data)))
+        self._save(ckpt, tmp_path / "counted")
+        assert writes[-1] == "manifest.json"
+
+        loaded = []
+        for stop in range(2 * len(writes)):  # before and after each write
+            directory = tmp_path / f"stop-{stop}"
+            shutil.copytree(best, directory)
+            calls = []
+
+            def write(path, data):
+                calls.append(path.name)
+                if 2 * (len(calls) - 1) == stop:
+                    raise _Stop
+                real_write(path, data)
+                if 2 * (len(calls) - 1) + 1 == stop:
+                    raise _Stop
+
+            monkeypatch.setattr(checkpoint, "_atomic_write", write)
+            with pytest.raises(_Stop):
+                self._save(ckpt, directory)
+            state = _net_state(load_checkpoint(directory))
+            loaded.append("old" if state == old else "new" if state == new else "mix")
+        monkeypatch.setattr(checkpoint, "_atomic_write", real_write)
+        assert loaded == ["old"] * (2 * len(writes) - 1) + ["new"]
+
+        # stopped during the cleanup, after the commit point
+        directory = tmp_path / "ckpt-cleanup"
+        shutil.copytree(best, directory)
+
+        def unlink(self, *args, **kwargs):
+            raise _Stop
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "unlink", unlink)
+            with pytest.raises(_Stop):
+                self._save(ckpt, directory)
+        assert _net_state(load_checkpoint(directory)) == new
+        self._save(ckpt, directory)  # the next save removes what the stop left
+        assert len(list(directory.iterdir())) == 2
+        assert _net_state(load_checkpoint(directory)) == new
 
 
 def test_checkpoint_config_maps_to_the_training_pipeline(tmp_path):

@@ -66,7 +66,7 @@ class TestTopK:
         assert topk_accuracy(r0, 1) == 100.0  # index 0 wins the tie
         r3 = make_report(probs, [3])
         assert topk_accuracy(r3, 1) == 0.0
-        assert r3.metadata["tie_trials"] == 1
+        assert r3.tie_trials == 1
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
