@@ -8,7 +8,7 @@ projection instead of sensor-position attention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace, asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,8 +127,11 @@ class NonFiniteActivation(RuntimeError):
 class BrainNet:
     """Parameter container plus forward pass. One instance, many subjects."""
 
-    def __init__(self, config: BrainNetConfig, rng: np.random.Generator,
+    def __init__(self, config: BrainNetConfig, rng: Optional[np.random.Generator],
                  dtype=np.float32, prefix: str = ""):
+        """``rng`` draws the initial parameters. With ``rng=None`` nothing is
+        drawn: each parameter is allocated uninitialised from its shape, for a
+        checkpoint load to fill."""
         config.validate()
         self.config = config
         self.dtype = dtype
@@ -140,26 +143,23 @@ class BrainNet:
         c = config
         if c.use_spatial_attention:
             std = 1.0 / c.harmonics
-            self._add("spatial.re", rng.normal(0.0, std, size=(c.d1, c.harmonics, c.harmonics)))
-            self._add("spatial.im", rng.normal(0.0, std, size=(c.d1, c.harmonics, c.harmonics)))
+            for part in ("re", "im"):
+                self._add(f"spatial.{part}", rng, (c.d1, c.harmonics, c.harmonics),
+                          lambda r, size: r.normal(0.0, std, size=size))
         else:
             self._add_conv("input_proj", rng, c.in_channels, c.d1, 1)
         if c.use_initial_conv:
             self._add_conv("initial", rng, c.d1, c.d1, 1)
         if c.use_subject_layer:
-            eye = np.eye(c.d1)[None].repeat(c.n_subjects, axis=0)
-            noise = rng.normal(0.0, 0.01, size=(c.n_subjects, c.d1, c.d1))
-            self._add("subject.m", eye + noise)
+            self._add("subject.m", rng, (c.n_subjects, c.d1, c.d1),
+                      lambda r, size: np.eye(c.d1) + r.normal(0.0, 0.01, size=size))
         ch = c.d1
         for b in range(c.blocks):
-            self._add_conv(f"block{b}.conv1", rng, ch, c.d2, c.kernel)
-            self.bn_states[f"block{b}.bn1"] = BatchNormState(c.d2, dtype=dtype)
-            self._add(f"block{b}.bn1.gamma", np.ones(c.d2))
-            self._add(f"block{b}.bn1.beta", np.zeros(c.d2))
-            self._add_conv(f"block{b}.conv2", rng, c.d2, c.d2, c.kernel)
-            self.bn_states[f"block{b}.bn2"] = BatchNormState(c.d2, dtype=dtype)
-            self._add(f"block{b}.bn2.gamma", np.ones(c.d2))
-            self._add(f"block{b}.bn2.beta", np.zeros(c.d2))
+            for conv, bn, cin in (("conv1", "bn1", ch), ("conv2", "bn2", c.d2)):
+                self._add_conv(f"block{b}.{conv}", rng, cin, c.d2, c.kernel)
+                self.bn_states[f"block{b}.{bn}"] = BatchNormState(c.d2, dtype=dtype)
+                self._add(f"block{b}.{bn}.gamma", rng, (c.d2,), lambda r, size: np.ones(size))
+                self._add(f"block{b}.{bn}.beta", rng, (c.d2,), lambda r, size: np.zeros(size))
             if c.use_glu_conv:
                 self._add_conv(f"block{b}.conv3", rng, c.d2, 2 * c.d2, c.kernel)
             ch = c.d2
@@ -169,17 +169,22 @@ class BrainNet:
         else:
             self._add_conv("head.direct", rng, c.d2, c.out_features, 1)
 
-    def _add(self, name: str, data: np.ndarray) -> None:
+    def _add(self, name: str, rng: Optional[np.random.Generator], shape: Tuple[int, ...],
+             init: Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]) -> None:
+        """Registers parameter ``name`` holding ``init(rng, shape)``, or, when
+        ``rng`` is None, an uninitialised array of ``shape``."""
         # dict keys stay unprefixed; tensor names carry the prefix for the
         # optimizer and checkpoint namespaces
+        data = np.empty(shape, self.dtype) if rng is None else init(rng, shape)
         self.params[name] = parameter(np.asarray(data, dtype=self.dtype),
                                       self.prefix + name)
 
-    def _add_conv(self, name: str, rng: np.random.Generator, cin: int, cout: int,
+    def _add_conv(self, name: str, rng: Optional[np.random.Generator], cin: int, cout: int,
                   kernel: int) -> None:
         bound = 1.0 / np.sqrt(cin * kernel)
-        self._add(f"{name}.w", rng.uniform(-bound, bound, size=(cout, cin, kernel)))
-        self._add(f"{name}.b", rng.uniform(-bound, bound, size=cout))
+        self._add(f"{name}.w", rng, (cout, cin, kernel),
+                  lambda r, size: r.uniform(-bound, bound, size=size))
+        self._add(f"{name}.b", rng, (cout,), lambda r, size: r.uniform(-bound, bound, size=size))
 
     def parameters(self) -> List[Tensor]:
         return list(self.params.values())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -36,7 +36,10 @@ def config_hash(config: dict) -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # os.open applies the umask to 0o666, as open() does for the other outputs;
+    # tempfile.mkstemp would leave the file 0600.
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -131,12 +134,12 @@ def load_checkpoint(ckpt_dir) -> dict:
 
 
 def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
-    brain = BrainNet(BrainNetConfig.from_dict(manifest["brain_config"]),
-                     np.random.default_rng(0))
+    # Nets built without an rng draw no init: the blob fills every parameter.
+    brain = BrainNet(BrainNetConfig.from_dict(manifest["brain_config"]), None)
     deep_mel = None
     if manifest["deep_mel_config"] is not None:
-        deep_mel = BrainNet(BrainNetConfig.from_dict(manifest["deep_mel_config"]),
-                            np.random.default_rng(0), prefix="deepmel.")
+        deep_mel = BrainNet(BrainNetConfig.from_dict(manifest["deep_mel_config"]), None,
+                            prefix="deepmel.")
 
     params = _entries(brain, deep_mel, "params")
     states = _entries(brain, deep_mel, "bn_states")
@@ -160,7 +163,7 @@ def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
 
     offset = 0
     for _, p in params:
-        p.data = np.frombuffer(raw, "<f4", p.size, offset).reshape(p.shape).astype(np.float32)
+        p.data[...] = np.frombuffer(raw, "<f4", p.size, offset).reshape(p.shape)
         offset += 4 * p.size
     for entry, (_, st) in zip(manifest["bn"], states):
         c = entry["channels"]

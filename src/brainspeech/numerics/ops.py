@@ -10,6 +10,7 @@ dtype instead of promoting float32 to float64.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -105,9 +106,10 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
     ``dilation * (k - 1) / 2`` zeros on each side.
 
     Forward and input gradient run one GEMM per sample and the weight
-    gradient one GEMM over all B*T columns, so the per-sample work and the
-    weight gradient's output rows split over two threads (``twoway.split``)
-    without changing any sum.
+    gradient one GEMM over all B*T columns. Over two threads
+    (``twoway.split``) the per-sample work splits per half of the batch, and
+    the weight gradient's GEMM runs beside the input gradient's GEMMs, which
+    do as many multiply-adds. No GEMM changes its shape and no sum its order.
     """
     if x.ndim != 3 or w.ndim != 3:
         raise ValueError("conv1d expects x (B,Cin,T) and w (Cout,Cin,k)")
@@ -143,46 +145,53 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
     # Backward rebuilds the columns from x instead of keeping a k-times copy.
     def backward(g: np.ndarray) -> None:
         need_w, need_x = w.requires_grad, x.requires_grad
-        if need_w:
-            # dW = (Cout, B*T) gradient times (B*T, Cin*k) time-major columns,
-            # one GEMM in the layout np.tensordot used (a transposed operand
-            # takes other OpenBLAS kernels for small sizes, summing differently).
-            cols_tm = np.empty((batch, t, cin, k), dtype=x.dtype)
-            g_cm = np.empty((cout, batch, t), dtype=g.dtype)
         if need_x:
             if k == 1:
                 dx = np.empty((batch, cin, t), dtype=np.result_type(w2, g))
             else:
                 dcols = np.empty((batch, cin * k, t), dtype=np.result_type(w2, g))
                 dx = np.zeros((batch, cin, t), dtype=x.dtype)
-
-        def per_sample(rows) -> None:
-            if need_w:
-                _fill_taps(x.data[rows],
-                           [cols_tm[rows, :, :, j].transpose(0, 2, 1) for j in range(k)],
-                           dilation)
-                g_cm[:, rows] = g[rows].transpose(1, 0, 2)
-            if need_x and k == 1:
-                np.matmul(w2.T, g[rows], out=dx[rows])
-            elif need_x:
-                taps = np.matmul(w2.T, g[rows], out=dcols[rows]).reshape(-1, cin, k, t)
-                dxs = dx[rows]
-                # taps are added in j order into zeros, as a padded buffer would
-                for j in range(k):
-                    lo, hi, off = _tap_span(t, k, dilation, j)
-                    dxs[..., lo + off : hi + off] += taps[:, :, j, lo:hi]
-
-        twoway.split(batch, g.size, per_sample)
         if need_w:
-            cols2 = cols_tm.reshape(batch * t, cin * k)
-            g2 = g_cm.reshape(cout, batch * t)
+            cols_tm = np.empty((batch, t, cin, k), dtype=x.dtype)
+            g_cm = np.empty((cout, batch, t), dtype=g.dtype)
             dw2 = np.empty((cout, cin * k), dtype=np.result_type(g, x.data))
 
-            def weight_rows(rows) -> None:
-                np.dot(g2[rows], cols2, out=dw2[rows])
+        def input_grad(rows) -> None:
+            np.matmul(w2.T, g[rows], out=dx[rows] if k == 1 else dcols[rows])
 
-            # a one-row half would run as a GEMV, which sums in another order
-            twoway.split(cout if cout > 3 else 1, g.size, weight_rows)
+        def col2im(rows) -> None:
+            taps = dcols[rows].reshape(-1, cin, k, t)
+            dxs = dx[rows]
+            # taps are added in j order into zeros, as a padded buffer would
+            for j in range(k):
+                lo, hi, off = _tap_span(t, k, dilation, j)
+                dxs[..., lo + off : hi + off] += taps[:, :, j, lo:hi]
+
+        def weight_operands(rows) -> None:
+            _fill_taps(x.data[rows],
+                       [cols_tm[rows, :, :, j].transpose(0, 2, 1) for j in range(k)],
+                       dilation)
+            g_cm[:, rows] = g[rows].transpose(1, 0, 2)
+
+        def weight_grad() -> None:
+            # dW = (Cout, B*T) gradient times (B*T, Cin*k) time-major columns,
+            # one GEMM in the layout np.tensordot used (a transposed operand,
+            # or a GEMM over part of the rows, may take other OpenBLAS kernels
+            # for small sizes, summing differently).
+            np.dot(g_cm.reshape(cout, batch * t), cols_tm.reshape(batch * t, cin * k), out=dw2)
+
+        if need_w:
+            twoway.split(batch, g.size, weight_operands)
+        if need_w and need_x:
+            # as many multiply-adds each: dW here, the per-sample dx GEMMs on the pool thread
+            twoway.split.pair(g.size, weight_grad, partial(input_grad, slice(None)))
+        elif need_x:
+            twoway.split(batch, g.size, input_grad)
+        elif need_w:
+            weight_grad()
+        if need_x and k > 1:
+            twoway.split(batch, g.size, col2im)
+        if need_w:
             w.accumulate(dw2.reshape(cout, cin, k))
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2)))
@@ -218,6 +227,11 @@ def batchnorm1d(
     Train mode normalizes by batch statistics and (optionally) updates the
     running estimates; eval mode uses the frozen running statistics and
     fails if none were ever recorded.
+
+    The elementwise passes (centring, squaring, scaling and the affine) run
+    per half of the batch (``twoway.split``). The mean and the variance stay
+    one reduction over the whole array on the calling thread, so no sum
+    changes its order and the result is bitwise that of the serial path.
     """
     if x.ndim != 3:
         raise ValueError("batchnorm1d expects (B, C, T)")
@@ -232,13 +246,24 @@ def batchnorm1d(
         mu = x.data.mean(axis=(0, 2))
         # xhat starts as the centred input: its square gives the variance
         # exactly as ndarray.var sums it, then it is scaled in place.
-        xhat = x.data - mu[:, None]
-        out_data = np.square(xhat)
+        xhat = np.empty_like(x.data, dtype=np.result_type(x.data, mu))
+        out_data = np.empty_like(xhat)
+
+        def centre(rows) -> None:
+            np.subtract(x.data[rows], mu[:, None], out=xhat[rows])
+            np.square(xhat[rows], out=out_data[rows])
+
+        twoway.split(batch, x.size, centre)
         var = out_data.sum(axis=(0, 2)) / n
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat *= inv[:, None]
-        np.multiply(gamma.data[:, None], xhat, out=out_data)
-        out_data += beta.data[:, None]
+
+        def normalise(rows) -> None:
+            xh = xhat[rows]
+            xh *= inv[:, None]
+            np.multiply(gamma.data[:, None], xh, out=out_data[rows])
+            out_data[rows] += beta.data[:, None]
+
+        twoway.split(batch, x.size, normalise)
         if update_running:
             m = state.momentum
             unbiased = var * n / max(n - 1, 1)
@@ -273,10 +298,16 @@ def batchnorm1d(
         raise RuntimeError("batchnorm1d: eval mode before any train step")
     rinv = 1.0 / np.sqrt(state.running_var + state.eps)
     scale_c = (gamma.data * rinv)[:, None]
-    xhat = x.data - state.running_mean[:, None]
-    xhat *= rinv[:, None]
-    out_data = gamma.data[:, None] * xhat
-    out_data += beta.data[:, None]
+    xhat = np.empty_like(x.data, dtype=np.result_type(x.data, state.running_mean))
+    out_data = np.empty_like(xhat, dtype=np.result_type(gamma.data, xhat))
+
+    def normalise(rows) -> None:
+        xh = np.subtract(x.data[rows], state.running_mean[:, None], out=xhat[rows])
+        xh *= rinv[:, None]
+        np.multiply(gamma.data[:, None], xh, out=out_data[rows])
+        out_data[rows] += beta.data[:, None]
+
+    twoway.split(batch, x.size, normalise)
 
     def backward_eval(g: np.ndarray) -> None:
         if gamma.requires_grad:
@@ -290,23 +321,38 @@ def batchnorm1d(
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out_data = x.data * cdf
+    """Exact-erf GELU.
+
+    Forward and backward run per half of the batch (``twoway.split``); each
+    element goes through the same operations as ``x * (0.5 * (1 + erf(x *
+    (1 / sqrt(2)))))``, so the result is bitwise that of one whole-array pass.
+    """
+    x1 = np.atleast_1d(x.data)
+    cdf = np.empty_like(x1)
+    out1 = np.empty_like(x1)
+
+    def forward(r) -> None:
+        c = np.multiply(x1[r], _INV_SQRT2, out=cdf[r])
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(x1[r], c, out=out1[r])
+
+    twoway.split(len(x1), x1.size, forward)
 
     def backward(g: np.ndarray) -> None:
-        x1, g1, cdf1 = np.atleast_1d(x.data, g, cdf)
+        g1 = np.atleast_1d(g)
         dx = np.empty(x1.shape, dtype=np.result_type(g, x.data))
 
         def rows(r) -> None:
             xs = x1[r]
             pdf = np.exp(-0.5 * xs * xs) * _INV_SQRT2PI
-            np.multiply(g1[r], cdf1[r] + xs * pdf, out=dx[r])
+            np.multiply(g1[r], cdf[r] + xs * pdf, out=dx[r])
 
         twoway.split(len(dx), dx.size, rows)
         x.accumulate(dx.reshape(x.shape))
 
-    return from_op(out_data, (x,), backward)
+    return from_op(out1.reshape(x.shape), (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -1,9 +1,10 @@
-"""One pool thread that shares independent row halves of a pass with the calling thread.
+"""One pool thread that shares the independent halves of a pass with the calling thread.
 
-The ops in :mod:`brainspeech.numerics.ops` (conv1d, batchnorm1d, gelu, glu),
-:func:`brainspeech.preprocessing.resample` (channel groups) and
-:meth:`brainspeech.preprocessing.ScalerParams.fit` (channel rows) all split
-through the one instance :data:`split`. Callers look it up here at call
+The ops in :mod:`brainspeech.numerics.ops` (conv1d's forward and backward,
+batchnorm1d's elementwise forward passes, gelu's forward and backward, glu's
+forward and backward), :func:`brainspeech.preprocessing.resample` (channel
+groups) and :meth:`brainspeech.preprocessing.ScalerParams.fit` (channel rows)
+all split through the one instance :data:`split`. Callers look it up here at call
 time, so replacing it (or ``_usable_cpus`` and ``_SPLIT_MIN_SIZE``) in this
 module changes every site. Only untraced inner functions run on the pool
 thread: every function a profiler wraps by name runs on the calling thread.
@@ -75,6 +76,15 @@ class _TwoWaySplit:
             tasks[0]()
         finally:
             future.result()
+
+    def pair(self, size: int, here: Callable[[], None], there: Callable[[], None]) -> None:
+        """Runs two independent tasks of a pass touching ``size`` elements:
+        ``there`` on the pool thread if the pass is split, else after ``here``."""
+        if len(self.halves(2, size)) == 1:
+            here()
+            there()
+        else:
+            self.run([here, there])
 
     def __call__(self, n: int, size: int, fn: Callable) -> None:
         self.run([partial(fn, rows) for rows in self.halves(n, size)])

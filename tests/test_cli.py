@@ -1,8 +1,10 @@
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
+import stat
 import subprocess
 import wave
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 import brainspeech.cli
 from brainspeech import checkpoint
+from brainspeech.brain_net import BrainNet, deep_mel_config
 from brainspeech.checkpoint import load_checkpoint, save_checkpoint
 from brainspeech.cli import _pipeline_for_checkpoint, _version_stamp, main
 from brainspeech.dataset import io as dataset_io
@@ -401,6 +404,35 @@ class TestCheckpointRoundtrip:
             )
             assert st.initialized == again["brain"].bn_states[key].initialized
         assert set(ckpt["scalers"]) == set(again["scalers"])
+
+    def test_load_draws_no_rng(self, workspace, tmp_path, monkeypatch):
+        """The blob supplies every value, so a load draws no init: nothing in
+        it may make or use a random generator."""
+        ckpt = load_checkpoint(workspace / "run" / "best")
+        deep_mel = BrainNet(deep_mel_config(5, 3, ckpt["brain"].config),
+                            np.random.default_rng(2), prefix="deepmel.")
+        save_checkpoint(tmp_path / "both", ckpt["brain"], ckpt["config"], ckpt["scalers"],
+                        ckpt["feature_stats"], deep_mel=deep_mel)
+        want = _net_state({"brain": ckpt["brain"], "deep_mel": deep_mel})
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint used a random generator")
+
+        for name in ("default_rng", "Generator", "RandomState", "normal", "uniform"):
+            monkeypatch.setattr(np.random, name, no_rng)
+        assert _net_state(load_checkpoint(tmp_path / "both")) == want
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_files_follow_the_umask(self, workspace, tmp_path, umask, mode):
+        ckpt = load_checkpoint(workspace / "run" / "best")
+        old = os.umask(umask)
+        try:
+            save_checkpoint(tmp_path / "ckpt", ckpt["brain"], ckpt["config"], ckpt["scalers"],
+                            ckpt["feature_stats"])
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(f.stat().st_mode) for f in (tmp_path / "ckpt").iterdir()]
+        assert modes == [mode, mode]
 
     def test_loaded_model_scores_identically(self, workspace):
         from brainspeech.evaluation import score_test_set

@@ -4,7 +4,9 @@ The ops split their per-sample work over the calling thread and one pool
 thread. Splitting must not change a bit: outputs, every gradient and the
 BatchNorm running statistics are compared byte for byte with the oracles
 below, with the split forced on (two CPUs, no size floor) and forced off
-(one CPU).
+(one CPU). Further tests check that the split passes really reach the pool
+thread, that a whole network step gives the same bytes either way, and the
+pool's own lifecycle.
 """
 
 import math
@@ -19,7 +21,7 @@ from scipy.special import erf
 
 from brainspeech import twoway
 from brainspeech.brain_net import BrainNet, BrainNetConfig
-from brainspeech.numerics import AdamState, BatchNormState, Tensor, adam_step, ops
+from brainspeech.numerics import AdamState, BatchNormState, Tensor, adam_step, no_grad, ops
 from brainspeech.objective import clip_loss_batch
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,76 @@ def test_gelu_and_glu_bitwise_match_serial_oracles(split_mode, dtype):
             assert_bitwise(dx, want_dx, f"glu dx {shape}")
 
 
+def pool_tasks(split, monkeypatch):
+    """Starts ``split``'s pool and returns the list of the thread names that
+    ran each task handed to it since."""
+    ran = []
+    pool = split._executor()
+    submit = pool.submit
+
+    def recording_submit(fn):
+        def task():
+            ran.append(threading.current_thread().name)
+            return fn()
+        return submit(task)
+
+    monkeypatch.setattr(pool, "submit", recording_submit)
+    return ran
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_and_batchnorm_forwards_hand_one_task_per_pass_to_the_pool(
+        force_split, monkeypatch, dtype):
+    """The oracle tests above would also pass with no split at all."""
+    ran = pool_tasks(force_split(2), monkeypatch)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 6, 12)).astype(dtype))
+    gamma, beta = Tensor(np.ones(6, dtype)), Tensor(np.zeros(6, dtype))
+    state = BatchNormState(6, dtype=dtype)
+    # (forward, its split passes); train mode centres and squares, then
+    # normalises, with the variance sum between them on the calling thread
+    forwards = {
+        "gelu": (lambda: ops.gelu(x), 1),
+        "batchnorm1d train": (lambda: ops.batchnorm1d(x, gamma, beta, state, True), 2),
+        "batchnorm1d eval": (lambda: ops.batchnorm1d(x, gamma, beta, state, False), 1),
+    }
+    for name, (forward, passes) in forwards.items():
+        ran.clear()
+        with no_grad():
+            forward()
+        assert ran == ["brainspeech-op_0"] * passes, name
+
+
+def brain_net_step(seed=0):
+    """Bytes of a 2-block net's train-mode output, every gradient and running
+    statistic after one forward and backward, then of its eval output."""
+    cfg = BrainNetConfig(in_channels=8, out_features=4, n_subjects=2, d1=6, d2=8,
+                         blocks=2, harmonics=3)
+    net = BrainNet(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    positions = rng.uniform(0.1, 0.9, size=(8, 2))
+    x = Tensor(rng.normal(size=(4, 8, 30)).astype(np.float32))
+    y = Tensor(rng.normal(size=(4, 4, 30)).astype(np.float32))
+    subjects = np.array([0, 1, 1, 0])
+    z = net.forward(x, subjects, positions, training=True, rng=rng)
+    clip_loss_batch(z, y).backward()
+    state = [z.data.tobytes()] + [p.grad.tobytes() for p in net.parameters()] + [
+        st.running_mean.tobytes() + st.running_var.tobytes() for st in net.bn_states.values()]
+    with no_grad():
+        z_eval = net.forward(x, subjects, positions, training=False)
+    return state + [z_eval.data.tobytes()]
+
+
+def test_brain_net_step_bitwise_equal_split_and_inline(force_split, monkeypatch):
+    """Spatial attention, the subject layer and two blocks, trained one step
+    and run in eval mode, give the same bytes with the split on and off."""
+    force_split(1)
+    want = brain_net_step()
+    ran = pool_tasks(force_split(2), monkeypatch)
+    assert brain_net_step() == want
+    assert ran
+
+
 # ---------------------------------------------------------------------------
 # The pool itself
 # ---------------------------------------------------------------------------
@@ -283,6 +355,9 @@ def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatc
         clip_loss_batch(z, y).backward()
         adam_step(params, adam)
     assert fresh_split._pool is not None
+    assert threading.active_count() <= before + 1
+    with no_grad():
+        net.forward(x, np.array([0, 1, 0, 1]), positions, training=False)
     assert threading.active_count() <= before + 1
 
 

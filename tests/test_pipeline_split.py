@@ -30,13 +30,14 @@ def dataset_600hz(tmp_path_factory):
 
 
 def split_passes(split, monkeypatch):
-    """The names of the functions ``split`` ran in two halves, as they run."""
+    """The names of the functions ``split`` ran on both threads, as they run
+    (of a pass in halves, or of the calling thread's task of a pair)."""
     names = []
     run = split.run
 
     def recording_run(tasks):
         if len(tasks) == 2:
-            names.append(tasks[0].func.__name__)
+            names.append(getattr(tasks[0], "func", tasks[0]).__name__)
         run(tasks)
 
     monkeypatch.setattr(split, "run", recording_run)
