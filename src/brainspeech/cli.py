@@ -185,7 +185,7 @@ def cmd_eval(args) -> int:
     per_subject = per_subject_topk(report, min(10, report.n_candidates))
     subj_vals = np.array(list(per_subject.values()), dtype=float)
     restricted_n = min(config.eval.restricted_n, report.n_candidates)
-    zero_shot = zero_shot_split(report, pipeline.train_vocabulary())
+    zero_shot = zero_shot_split(wl, pipeline.train_vocabulary())
     payload = {
         "dataset": str(args.dataset),
         "checkpoint": str(args.checkpoint),

@@ -9,10 +9,12 @@ snapshotted into every run directory.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .brain_net import ABLATION_FLAGS
+from .dataset.windows import WORKING_RATE
 from .speech import REPRESENTATIONS, SUPPORTED_N_MELS
 
 
@@ -102,6 +104,20 @@ class Config:
             )
         if self.training.batch_size < 2:
             raise ConfigError("training.batch_size: must be >= 2")
+        if not self.dataset.window_s > 0:
+            raise ConfigError("dataset.window_s: must be > 0")
+        # baseline_correct averages the first round(baseline_s * rate) samples
+        if not self.preprocessing.baseline_s * WORKING_RATE > 0.5:
+            raise ConfigError(
+                f"preprocessing.baseline_s: must span at least one sample at {WORKING_RATE:g} Hz"
+            )
+        if not (math.isfinite(self.training.lr) and self.training.lr > 0):
+            raise ConfigError("training.lr: must be a finite number > 0")
+        for key in ("updates_per_epoch", "max_epochs"):
+            if getattr(self.training, key) < 1:
+                raise ConfigError(f"training.{key}: must be >= 1")
+        if any(k < 1 for k in self.eval.topk):
+            raise ConfigError("eval.topk: every entry must be >= 1")
 
     def to_dict(self) -> dict:
         out = {}

@@ -79,11 +79,10 @@ def score_test_set(
     pipeline: DataPipeline,
     objective: str = "clip",
     deep_mel: Optional[BrainNet] = None,
-    split: str = "test",
     subject_fallback: bool = False,
 ) -> EvalReport:
-    """Probability of every candidate segment for every trial of a split."""
-    data = pipeline.materialize(split)
+    """Probability of every candidate segment for every test trial."""
+    data = pipeline.materialize("test")
     cand_feats = data.candidates
     if deep_mel is not None:
         cand_feats = _forward_chunks(
@@ -128,6 +127,7 @@ class WordLevelResult:
     word_order: List[str]
     word_probs: np.ndarray  # (trials, W), rows sum to 1
     true_word_index: np.ndarray
+    ranks: np.ndarray  # (trials,) 0-based rank of the true word
     top1: float
     top10: float
 
@@ -156,6 +156,7 @@ def word_level_eval(report: EvalReport) -> WordLevelResult:
         word_order=word_order,
         word_probs=word_probs,
         true_word_index=true_words,
+        ranks=ranks,
         top1=float((ranks < 1).mean() * 100.0),
         top10=float((ranks < k10).mean() * 100.0),
     )
@@ -190,15 +191,13 @@ def restricted_candidates(report: EvalReport, n: int = 50, seed: int = 0) -> dic
     }
 
 
-def zero_shot_split(report: EvalReport, train_vocab: set) -> dict:
+def zero_shot_split(wl: WordLevelResult, train_vocab: set) -> dict:
     """Word-level accuracy split by anchor-word presence in the train vocabulary."""
-    wl = word_level_eval(report)
     vocab = {normalize_token(w) for w in train_vocab}
     in_train = np.array(
         [wl.word_order[wi] in vocab for wi in wl.true_word_index]
     )
     out = {}
-    ranks, _ = true_ranks(wl.word_probs, wl.true_word_index)
     k10 = min(10, len(wl.word_order))
     for name, mask in (("in_train", in_train), ("absent", ~in_train)):
         if mask.sum() == 0:
@@ -206,10 +205,10 @@ def zero_shot_split(report: EvalReport, train_vocab: set) -> dict:
         else:
             out[name] = {
                 "n": int(mask.sum()),
-                "top10": float((ranks[mask] < k10).mean() * 100.0),
-                "top1": float((ranks[mask] < 1).mean() * 100.0),
+                "top10": float((wl.ranks[mask] < k10).mean() * 100.0),
+                "top1": float((wl.ranks[mask] < 1).mean() * 100.0),
             }
-    out["overall_top10"] = float((ranks < k10).mean() * 100.0)
+    out["overall_top10"] = wl.top10
     return out
 
 

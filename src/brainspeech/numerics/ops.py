@@ -49,15 +49,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return from_op(out_data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out_data = a.data * c
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate(g * c)
-
-    return from_op(out_data, (a,), backward)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out_data = a.data.reshape(shape)
@@ -512,19 +503,6 @@ def pairwise_inner(z: Tensor, y: Tensor) -> Tensor:
             z.accumulate((g @ yf).reshape(z.shape))
         if y.requires_grad:
             y.accumulate((g.T @ zf).reshape(y.shape))
-
-    return from_op(out_data, (z, y), backward)
-
-
-def inner_product_full(z: Tensor, y: Tensor) -> Tensor:
-    """Sum of elementwise products over every axis of two same-shape tensors."""
-    if z.shape != y.shape:
-        raise ValueError(f"inner_product_full: shape mismatch {z.shape} vs {y.shape}")
-    out_data = np.asarray((z.data * y.data).sum())
-
-    def backward(g: np.ndarray) -> None:
-        z.accumulate(g * y.data)
-        y.accumulate(g * z.data)
 
     return from_op(out_data, (z, y), backward)
 

@@ -16,7 +16,6 @@ from .numerics import (
     diagonal,
     logsumexp,
     mean_all,
-    mse,
     pairwise_inner,
     sub,
 )
@@ -33,11 +32,6 @@ def clip_loss_batch(z: Tensor, y: Tensor) -> Tensor:
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("non-finite logits")
     return mean_all(sub(logsumexp(logits, axis=1), diagonal(logits)))
-
-
-def regression_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
-    return mse(pred, target)
 
 
 def true_ranks(scores: np.ndarray, true_index: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -14,11 +14,10 @@ import numpy as np
 from .brain_net import BrainNet, BrainNetConfig, build_ablation, deep_mel_config
 from .checkpoint import save_checkpoint
 from .config import Config
-from .numerics import AdamState, NonFiniteGradient, Tensor, adam_step, no_grad
+from .numerics import AdamState, NonFiniteGradient, Tensor, adam_step, mse, no_grad
 from .objective import (
     clip_loss_batch,
     clip_scores_eval,
-    regression_loss,
     regression_scores_eval,
     true_ranks,
 )
@@ -199,7 +198,7 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                 scores = clip_scores_eval(z.data, y.data)
             else:
                 y = Tensor(targets)
-                loss = regression_loss(z, y).item()
+                loss = mse(z, y).item()
                 scores = regression_scores_eval(z.data, y.data)
             losses.append(loss)
             weights.append(chunk.size)
@@ -226,7 +225,7 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                     y = _forward_targets(deep_mel, targets, training=True)
                     loss = clip_loss_batch(z, y)
                 else:
-                    loss = regression_loss(z, Tensor(targets))
+                    loss = mse(z, Tensor(targets))
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingAborted(f"non-finite training loss at epoch {epoch}")

@@ -1,4 +1,6 @@
-"""Central finite-difference verification of reverse-mode gradients."""
+"""Central finite-difference verification of reverse-mode gradients, and
+the two ops that only the tests use: ``scale`` and ``inner_product_full``,
+the scalar probe that turns a tensor output into a loss to check."""
 
 from __future__ import annotations
 
@@ -6,7 +8,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from brainspeech.numerics import Tensor, from_op
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    out_data = a.data * c
+
+    def backward(g: np.ndarray) -> None:
+        a.accumulate(g * c)
+
+    return from_op(out_data, (a,), backward)
+
+
+def inner_product_full(z: Tensor, y: Tensor) -> Tensor:
+    """Sum of elementwise products over every axis of two same-shape tensors."""
+    if z.shape != y.shape:
+        raise ValueError(f"inner_product_full: shape mismatch {z.shape} vs {y.shape}")
+    out_data = np.asarray((z.data * y.data).sum())
+
+    def backward(g: np.ndarray) -> None:
+        z.accumulate(g * y.data)
+        y.accumulate(g * z.data)
+
+    return from_op(out_data, (z, y), backward)
 
 
 def grad_check(

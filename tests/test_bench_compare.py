@@ -33,10 +33,10 @@ def side_values(side, seed):
             "eval_trials_per_s": SPREAD[::-1][i], "peak_rss_mb": 301.0 + 0.1 * i}
 
 
-def write_record(results, seed, values, failed_check=False, probs="a" * 64):
+def write_record(results, seed, values, failed_check=False, probs="a" * 64, revision="abc"):
     record = {
         "workload": "w", "seed": seed, "trace": 0, "error": None,
-        "environment": {"python": "3", "git_revision": "abc"},
+        "environment": {"python": "3", "git_revision": revision, "src_sha256": revision * 2},
         "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()},
         "operations": [{"name": "untraced.train", "ok": True, "detail": ""}],
         "checks": [{"name": "untraced.eval.sizes", "ok": not failed_check, "detail": ""}],
@@ -51,7 +51,8 @@ def make_results(tmp_path, failed_seed=None, probs_seed=None):
         for seed in range(1, 11):
             write_record(tmp_path / side, seed, side_values(side, seed),
                          failed_check=side == "change" and seed == failed_seed,
-                         probs="b" * 64 if side == "change" and seed == probs_seed else "a" * 64)
+                         probs="b" * 64 if side == "change" and seed == probs_seed else "a" * 64,
+                         revision="abc" if side == "parent" else "def")
     # an unpaired seed is left out
     write_record(tmp_path / "parent", 11, side_values("parent", 1))
     bench = tmp_path / "BENCHMARK.json"
@@ -106,10 +107,10 @@ def test_no_pairs_or_unknown_claim_is_an_error(tmp_path):
                                "--benchmark", str(bench), "--claim", "typo:setup_s"]) == 2
 
 
-def write_traced(results, seed, metrics):
+def write_traced(results, seed, metrics, revision="abc"):
     record = {
         "workload": "w", "seed": seed, "trace": 1, "error": None,
-        "environment": {"python": "3"},
+        "environment": {"python": "3", "git_revision": revision, "src_sha256": revision * 2},
         "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()},
         "operations": [], "checks": [],
     }
@@ -137,3 +138,23 @@ def test_traced_change_pairs_each_per_layer_metric(tmp_path):
 def test_no_traced_records_no_traced_change(tmp_path):
     result = run(tmp_path, make_results(tmp_path))
     assert "traced" not in result and "traced_change" not in result
+
+
+def test_environment_of_each_side(tmp_path):
+    result = run(tmp_path, make_results(tmp_path))
+    env = result["environment"]
+    assert env["parent"]["git_revision"] == "abc" and env["parent"]["src_sha256"] == "abcabc"
+    assert env["change"]["git_revision"] == "def" and env["change"]["src_sha256"] == "defdef"
+    assert env["parent"]["python"] == env["change"]["python"] == "3"
+    assert env["parent"]["mixed_revisions"] is False
+    assert env["change"]["mixed_revisions"] is False
+
+
+def test_mixed_revisions_on_one_side(tmp_path):
+    bench = make_results(tmp_path)
+    write_traced(tmp_path / "change", 1, {"stage.s": 0.6}, revision="fed")
+    result = run(tmp_path, bench)
+    assert result["environment"]["change"]["mixed_revisions"] is True
+    assert result["environment"]["parent"]["mixed_revisions"] is False
+    write_record(tmp_path / "parent", 7, side_values("parent", 7), revision="fed")
+    assert run(tmp_path, bench)["environment"]["parent"]["mixed_revisions"] is True

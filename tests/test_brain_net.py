@@ -11,7 +11,9 @@ from brainspeech.brain_net import (
     dilation_schedule,
     fourier_basis,
 )
-from brainspeech.numerics import Tensor, grad_check, mean_all, gelu
+from brainspeech.numerics import Tensor, mean_all, gelu
+
+from gradcheck import grad_check, inner_product_full
 
 
 def receptive_field_radius(config: BrainNetConfig) -> int:
@@ -196,8 +198,6 @@ class TestForward:
         mid = t // 2
         pick = np.zeros_like(out.data)
         pick[0, :, mid] = 1.0
-        from brainspeech.numerics import inner_product_full
-
         inner_product_full(out, Tensor(pick)).backward()
         support = np.flatnonzero(np.abs(x.grad[0]).max(axis=0) > 0)
         assert support.min() == mid - radius
@@ -320,9 +320,7 @@ class TestEndToEndGrad:
             return mean_all(gelu(net_inner(out, target)))
 
         def net_inner(out, tgt):
-            from brainspeech.numerics import inner_product_full, Tensor as T
-
-            return inner_product_full(out, T(tgt))
+            return inner_product_full(out, Tensor(tgt))
 
         err = grad_check(loss_fn, [x] + params)
         assert err < 1e-3

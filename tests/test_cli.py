@@ -101,6 +101,25 @@ class TestPipelineSmoke:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "probs.bin").read_bytes() == (b / "probs.bin").read_bytes()
 
+    def test_eval_builds_the_word_table_once(self, workspace, tmp_path, monkeypatch):
+        from brainspeech.evaluation import scoring
+
+        calls = []
+        for module in (brainspeech.cli, scoring):
+            real = module.word_level_eval
+
+            def counted(report, real=real):
+                calls.append(report)
+                return real(report)
+
+            monkeypatch.setattr(module, "word_level_eval", counted)
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "best"),
+                     "--dataset", str(workspace / "data"), "--out", str(tmp_path),
+                     "--no-recon"]) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["zero_shot"]["overall_top10"] == report["word_level"]["top10"]
+
     def test_attention_dump_csv(self, workspace):
         out = workspace / "attn.csv"
         assert main(["attention-dump", "--checkpoint", str(workspace / "run" / "best"),
@@ -223,6 +242,20 @@ class TestErrorPaths:
         bad.write_text("[training]\nlearnrate = 3\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert "category=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "dataset.window_s=0", "dataset.window_s=-1", "preprocessing.baseline_s=-1",
+        "training.lr=-1", "training.updates_per_epoch=0", "training.max_epochs=0",
+        "eval.topk=0,10",
+    ])
+    def test_out_of_range_value_rejected(self, workspace, tmp_path, capsys, override):
+        key = override.split("=")[0]
+        assert main(["train", "--config", str(workspace / "train.cfg"),
+                     "--out", str(tmp_path / "r"), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category=config: {key}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),

@@ -146,7 +146,7 @@ class TestRestricted:
 class TestZeroShot:
     def test_all_words_in_train_marks_absent_na(self):
         report = uniform_report(40, 10, seed=8)
-        out = zero_shot_split(report, {f"word{j}" for j in range(10)})
+        out = zero_shot_split(word_level_eval(report), {f"word{j}" for j in range(10)})
         assert out["absent"]["top10"] is None
         assert out["absent"]["n"] == 0
         assert out["in_train"]["n"] == 40
@@ -154,7 +154,7 @@ class TestZeroShot:
     def test_weighted_average_partitions_overall(self):
         report = uniform_report(500, 40, seed=9)
         train_vocab = {f"word{j}" for j in range(0, 40, 2)}
-        out = zero_shot_split(report, train_vocab)
+        out = zero_shot_split(word_level_eval(report), train_vocab)
         n_in, n_out = out["in_train"]["n"], out["absent"]["n"]
         assert n_in > 0 and n_out > 0
         weighted = (

@@ -24,6 +24,8 @@ from brainspeech.brain_net import BrainNet, BrainNetConfig
 from brainspeech.numerics import AdamState, BatchNormState, Tensor, adam_step, no_grad, ops
 from brainspeech.objective import clip_loss_batch
 
+from gradcheck import inner_product_full
+
 # ---------------------------------------------------------------------------
 # Oracles: the serial op bodies of the previous release, as plain numpy.
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ def run_op(fn, arrays, g, grads=None):
     grads = grads or [True] * len(arrays)
     tensors = [None if a is None else Tensor(a, requires_grad=r) for a, r in zip(arrays, grads)]
     out = fn(*tensors)
-    ops.inner_product_full(out, Tensor(g)).backward()
+    inner_product_full(out, Tensor(g)).backward()
     return out.data, [None if t is None else t.grad for t in tensors]
 
 

@@ -20,9 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "brainspeech"
 # "module.qualname" -> why it may go unreferenced inside the package.
 ALLOWLIST = {
     "cli.main": "console-script entry point named in pyproject.toml",
-    "numerics.gradcheck.grad_check": "gradient-check harness the numerics tests run",
-    "numerics.ops.scale": "numerics op covered by the gradient suite",
-    "numerics.ops.inner_product_full": "numerics op covered by the gradient suite",
 }
 
 

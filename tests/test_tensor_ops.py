@@ -15,8 +15,6 @@ from brainspeech.numerics import (
     diagonal,
     gelu,
     glu,
-    grad_check,
-    inner_product_full,
     logsumexp,
     matmul2d,
     mean_all,
@@ -27,6 +25,8 @@ from brainspeech.numerics import (
     softmax,
     subject_mix,
 )
+
+from gradcheck import grad_check, inner_product_full
 
 
 def conv1d_loops(x, w, b, dilation):

@@ -22,8 +22,11 @@ change won (ties count for neither side), and one verdict:
 
 Traced records (``-t1.json``) are summarised when present, and for each
 workload and seed traced on both sides ``traced_change`` pairs every per-layer
-metric: the parent's value, the change's and their ratio. The result is
-written as JSON to ``--out`` or printed.
+metric: the parent's value, the change's and their ratio. ``environment``
+holds each side's versions, git revision and source digest, taken from its
+first record; ``mixed_revisions`` is true where that side's records (traced
+ones included) name more than one revision or digest. The result is written
+as JSON to ``--out`` or printed.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = re.compile(r"(?P<workload>.+)-s(?P<seed>\d+)-t(?P<trace>[01])\.json")
+ENVIRONMENT = ("python", "numpy", "scipy", "blas", "blas_threads", "nproc", "git_revision",
+               "src_sha256")
 
 
 def read_records(results: Path, trace: int) -> dict:
@@ -64,6 +69,15 @@ def run_summary(rec: dict) -> dict:
         "probs_sha256": (rec.get("untraced") or {}).get("probs_sha256"),
         **{name: m["value"] for name, m in rec["metrics"].items()},
     }
+
+
+def side_environment(envs: list) -> dict:
+    """One side's environment, from its first record, and whether its records
+    disagree on the revision or the source digest they ran."""
+    out = {k: envs[0].get(k) for k in ENVIRONMENT}
+    out["mixed_revisions"] = len({(e.get("git_revision"), e.get("src_sha256"))
+                                  for e in envs}) > 1
+    return out
 
 
 def _quartiles(values: np.ndarray) -> dict:
@@ -174,11 +188,14 @@ def compare(parent_dir: Path, change_dir: Path, benchmark: dict, claim=None) -> 
                 k: traced_delta(p.get(k), c.get(k)) for k in sorted(set(p) | set(c))}
     if traced_change:
         out["traced_change"] = traced_change
-    envs = [r["environment"] for by_seed in parent.values() for r in by_seed.values()]
-    if envs:
-        out["environment"] = {k: envs[0].get(k)
-                              for k in ("python", "numpy", "scipy", "blas", "blas_threads",
-                                        "nproc")}
+    environment = {}
+    for side, untraced in (("parent", parent), ("change", change)):
+        envs = [r["environment"] for recs in (untraced, traced_recs[side])
+                for by_seed in recs.values() for r in by_seed.values()]
+        if envs:
+            environment[side] = side_environment(envs)
+    if environment:
+        out["environment"] = environment
     return out
 
 
