@@ -273,14 +273,25 @@ def _load_feature_tables(table_dir: Path) -> dict:
     return tables
 
 
+def _read_report(eval_dir: str, keys: tuple) -> dict:
+    """``report.json`` of an eval output directory: an object holding ``keys``,
+    of which ``per_subject_top10`` must be an object too."""
+    path = Path(eval_dir) / "report.json"
+    if not path.exists():
+        raise CliError("io", f"missing report: {path}")
+    report = dataset_io.load_json_object(path, keys)
+    if "per_subject_top10" in keys and not isinstance(report["per_subject_top10"], dict):
+        raise CliError("format", f"{path}: per_subject_top10 is not a JSON object")
+    return report
+
+
 def cmd_analyze(args) -> int:
     started = time.time()
     if not args.features and not args.compare:
         raise CliError("usage", "nothing to analyze: pass --features and/or --compare")
-    report_path = Path(args.report) / "report.json"
-    if not report_path.exists():
-        raise CliError("io", f"missing report: {report_path}")
-    report = json.loads(report_path.read_text())
+    keys = ("true_word_prob", "trial_subjects") if args.features else ()
+    keys += ("per_subject_top10",) if args.compare else ()
+    report = _read_report(args.report, keys)
     out = {"report": str(args.report)}
 
     if args.features:
@@ -300,10 +311,7 @@ def cmd_analyze(args) -> int:
         }
 
     if args.compare:
-        other_path = Path(args.compare) / "report.json"
-        if not other_path.exists():
-            raise CliError("io", f"missing report: {other_path}")
-        other = json.loads(other_path.read_text())
+        other = _read_report(args.compare, ("per_subject_top10",))
         a = report["per_subject_top10"]
         b = other["per_subject_top10"]
         if args.paired:

@@ -31,14 +31,14 @@ MANIFEST_KEYS = ("name", "recording_rate", "audio_rate", "channels", "subjects")
 
 
 class DatasetFormatError(ValueError):
-    """A file in the dataset root violates the interchange format."""
+    """A file in the dataset root, or an eval report, violates its format."""
 
 
 def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_json(path: Path, keys: Tuple[str, ...]) -> dict:
+def load_json_object(path: Path, keys: Tuple[str, ...]) -> dict:
     """A JSON object that holds every one of ``keys``."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -85,7 +85,7 @@ def write_manifest(root: Path, manifest: dict) -> None:
 
 
 def read_manifest(root: Path) -> dict:
-    return _load_json(Path(root) / "manifest.json", MANIFEST_KEYS)
+    return load_json_object(Path(root) / "manifest.json", MANIFEST_KEYS)
 
 
 def write_recording(
@@ -122,8 +122,8 @@ def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
         raise DatasetFormatError(
             f"{rec_dir / recording_id}.bin: subject {subject!r} not in manifest")
     path = rec_dir / f"{recording_id}.json"
-    meta = _load_json(path, ("channels", "samples", "sample_rate", "channel_names",
-                             "positions"))
+    meta = load_json_object(path, ("channels", "samples", "sample_rate", "channel_names",
+                                   "positions"))
     if meta["channels"] != manifest["channels"]:
         raise DatasetFormatError(
             f"{path}: {meta['channels']} channels, manifest says {manifest['channels']}")
@@ -223,7 +223,7 @@ def write_feature_file(root: Path, segment_id: int, features: np.ndarray, featur
 def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
     ft_dir = Path(root) / "features"
     path = ft_dir / f"{segment_id}.json"
-    meta = _load_json(path, ("features", "samples", "feature_rate"))
+    meta = load_json_object(path, ("features", "samples", "feature_rate"))
     arr = _read_matrix(ft_dir / f"{segment_id}.bin",
                        _as_number(path, "features", meta["features"]),
                        _as_number(path, "samples", meta["samples"]))
@@ -244,7 +244,7 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 
 def read_splits(root: Path) -> SplitAssignment:
     path = Path(root) / "splits.json"
-    obj = _load_json(path, ("assignment", "ratios", "seed"))
+    obj = load_json_object(path, ("assignment", "ratios", "seed"))
     assignment = {_as_number(path, "segment id", k): v for k, v in obj["assignment"].items()}
     for sid, split in assignment.items():
         if split not in SPLITS:

@@ -267,6 +267,31 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "a")]) == 1
         assert "category=usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['{"topk": {}}', "[1, 2]", '{"per_subject_top10": [1]}'],
+                             ids=["missing-keys", "array", "top10-array"])
+    @pytest.mark.parametrize("mode", ["compare-itself", "compare-good", "features"])
+    def test_analyze_malformed_report(self, tmp_path, capsys, content, mode):
+        """Each mode checks the keys it reads, in every report it reads."""
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "report.json").write_text(content, encoding="utf-8")
+        good = tmp_path / "good"
+        good.mkdir()
+        (good / "report.json").write_text('{"per_subject_top10": {"0": 0.5}}', encoding="utf-8")
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        np.savetxt(tables / "zipf.csv", np.zeros((4, 1)), delimiter=",")
+        argv = {
+            "compare-itself": ["--report", str(bad), "--compare", str(bad)],
+            "compare-good": ["--report", str(good), "--compare", str(bad)],
+            "features": ["--report", str(bad), "--features", str(tables)],
+        }[mode]
+        assert main(["analyze", *argv, "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=format: ")
+        assert err.count("\n") == 1
+        assert str(bad / "report.json") in err
+
     def test_window_mismatch_reported(self, workspace, tmp_path, capsys):
         iso = tmp_path / "iso.cfg"
         iso.write_text(

@@ -5,8 +5,8 @@ thread. Splitting must not change a bit: outputs, every gradient and the
 BatchNorm running statistics are compared byte for byte with the oracles
 below, with the split forced on (two CPUs, no size floor) and forced off
 (one CPU). Further tests check that the split passes really reach the pool
-thread, that a whole network step gives the same bytes either way, and the
-pool's own lifecycle.
+thread, that desk-width passes split at the shipped size floor, that a whole
+network step gives the same bytes either way, and the pool's own lifecycle.
 """
 
 import math
@@ -273,6 +273,46 @@ def test_gelu_and_batchnorm_forwards_hand_one_task_per_pass_to_the_pool(
         assert ran == ["brainspeech-op_0"] * passes, name
 
 
+@pytest.fixture
+def shipped_split(monkeypatch):
+    """A fresh split on two CPUs at the module's shipped size floor."""
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
+    split = twoway._TwoWaySplit()
+    monkeypatch.setattr(twoway, "split", split)
+    yield split
+    if split._pool is not None:
+        split._pool.shutdown()
+
+
+def test_desk_width_forwards_split_at_the_shipped_floor(shipped_split, monkeypatch):
+    """A desk-width batch (B=32, 32 channels, 360 samples: 368,640 elements)
+    reaches the pool in conv1d, gelu and train-mode batchnorm1d, while a
+    paper-width head's gelu (B=8, 16 features: 46,080 elements) and a pass one
+    row-pair below the floor run inline."""
+    ran = pool_tasks(shipped_split, monkeypatch)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32))
+    w = Tensor(rng.normal(size=(32, 32, 3)).astype(np.float32))
+    gamma, beta = Tensor(np.ones(32, np.float32)), Tensor(np.zeros(32, np.float32))
+    state = BatchNormState(32)
+    floor = twoway._SPLIT_MIN_SIZE
+    forwards = {
+        "conv1d": (lambda: ops.conv1d(x, w, dilation=2), True),
+        "gelu": (lambda: ops.gelu(x), True),
+        "batchnorm1d train": (lambda: ops.batchnorm1d(x, gamma, beta, state, True), True),
+        "gelu head": (lambda: ops.gelu(Tensor(np.ones((8, 16, 360), np.float32))), False),
+        "gelu at floor": (lambda: ops.gelu(Tensor(np.ones((2, 1, floor // 2), np.float32))),
+                          True),
+        "gelu below floor": (
+            lambda: ops.gelu(Tensor(np.ones((2, 1, floor // 2 - 1), np.float32))), False),
+    }
+    for name, (forward, splits) in forwards.items():
+        ran.clear()
+        with no_grad():
+            forward()
+        assert bool(ran) == splits, name
+
+
 def brain_net_step(seed=0):
     """Bytes of a 2-block net's train-mode output, every gradient and running
     statistic after one forward and backward, then of its eval output."""
@@ -340,8 +380,9 @@ def test_one_cpu_runs_inline_and_starts_no_thread(fresh_split, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatch):
-    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
+def desk_steps_leave_at_most_one_extra_thread(split, batch, samples):
+    """Two desk-width train steps, then an eval forward, start ``split``'s
+    pool and no other thread."""
     before = threading.active_count()
     cfg = BrainNetConfig(in_channels=32, out_features=16, n_subjects=2, d1=32, d2=32,
                          harmonics=8)
@@ -350,17 +391,28 @@ def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatc
     adam = AdamState(params)
     rng = np.random.default_rng(2)
     positions = rng.uniform(0.1, 0.9, size=(32, 2))
+    subjects = np.arange(batch) % 2
     for step in range(2):
-        x = Tensor(rng.normal(size=(4, 32, 120)).astype(np.float32))
-        y = Tensor(rng.normal(size=(4, 16, 120)).astype(np.float32))
-        z = net.forward(x, np.array([0, 1, 0, 1]), positions, training=True, rng=rng)
+        x = Tensor(rng.normal(size=(batch, 32, samples)).astype(np.float32))
+        y = Tensor(rng.normal(size=(batch, 16, samples)).astype(np.float32))
+        z = net.forward(x, subjects, positions, training=True, rng=rng)
         clip_loss_batch(z, y).backward()
         adam_step(params, adam)
-    assert fresh_split._pool is not None
+    assert split._pool is not None
     assert threading.active_count() <= before + 1
     with no_grad():
-        net.forward(x, np.array([0, 1, 0, 1]), positions, training=False)
+        net.forward(x, subjects, positions, training=False)
     assert threading.active_count() <= before + 1
+
+
+def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatch):
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
+    desk_steps_leave_at_most_one_extra_thread(fresh_split, 4, 120)
+
+
+def test_desk_train_step_at_the_shipped_floor_leaves_at_most_one_extra_thread(shipped_split):
+    """The README desk batch (B=32, 360 samples) at the floor the module ships."""
+    desk_steps_leave_at_most_one_extra_thread(shipped_split, 32, 360)
 
 
 def test_concurrent_callers_share_one_pool(fresh_split, monkeypatch):
