@@ -273,15 +273,24 @@ def _load_feature_tables(table_dir: Path) -> dict:
     return tables
 
 
+# The report.json keys ``analyze`` reads, each a JSON object or array of numbers.
+_REPORT_NUMBERS = {"per_subject_top10": dict, "true_word_prob": list, "trial_subjects": list}
+
+
 def _read_report(eval_dir: str, keys: tuple) -> dict:
     """``report.json`` of an eval output directory: an object holding ``keys``,
-    of which ``per_subject_top10`` must be an object too."""
+    each as :data:`_REPORT_NUMBERS` says."""
     path = Path(eval_dir) / "report.json"
     if not path.exists():
         raise CliError("io", f"missing report: {path}")
     report = dataset_io.load_json_object(path, keys)
-    if "per_subject_top10" in keys and not isinstance(report["per_subject_top10"], dict):
-        raise CliError("format", f"{path}: per_subject_top10 is not a JSON object")
+    for key in keys:
+        kind, value = _REPORT_NUMBERS[key], report[key]
+        if not (isinstance(value, kind) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in (value.values() if kind is dict else value))):
+            what = "object" if kind is dict else "array"
+            raise CliError("format", f"{path}: {key} is not a JSON {what} of numbers")
     return report
 
 

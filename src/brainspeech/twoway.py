@@ -22,12 +22,13 @@ from typing import Callable, List, Optional, Sequence
 # pass to the pool costs about 30 us, while gelu's float32 erf costs about 30 ns
 # per element, some 40 times an exp, so a pass of 2^16 elements already saves
 # about 1 ms. On a 2-core VM with one BLAS thread, a desk-width (d1=d2=32) eval
-# forward at B=40 took a median of 140-149 ms at every floor from 2^14 to
-# 2^18 and 211 ms at 2^19, where every desk pass ran inline; a desk train step
+# forward at B=40 took a median of 140-149 ms at every floor from 2^14 to 2^18
+# and 211 ms at 2^19, where only its 64-channel GLU passes split; a train step
 # at B=32 took 329-343 ms against 445 ms. 2^16 sits mid-way in that flat range.
 # perfbench runs per floor (seeds 1 and 2) read desk-quickstart eval at 244-279
 # trials/s from 2^14 to 2^18 against 181-209 at 2^19, and paper-width, whose
 # split passes touch 921,600 elements or more, at 16.2-17.1 on every floor.
+# With OpenBLAS's two default threads no floor was measurably faster.
 _SPLIT_MIN_SIZE = 1 << 16
 
 

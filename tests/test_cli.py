@@ -267,8 +267,11 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "a")]) == 1
         assert "category=usage" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ['{"topk": {}}', "[1, 2]", '{"per_subject_top10": [1]}'],
-                             ids=["missing-keys", "array", "top10-array"])
+    @pytest.mark.parametrize("content", [
+        '{"topk": {}}', "[1, 2]",
+        '{"per_subject_top10": [1], "true_word_prob": {"a": 1}, "trial_subjects": [0]}',
+        '{"per_subject_top10": {"0": "x"}, "true_word_prob": [0.5], "trial_subjects": [null]}',
+    ], ids=["missing-keys", "array", "wrong-container", "not-a-number"])
     @pytest.mark.parametrize("mode", ["compare-itself", "compare-good", "features"])
     def test_analyze_malformed_report(self, tmp_path, capsys, content, mode):
         """Each mode checks the keys it reads, in every report it reads."""

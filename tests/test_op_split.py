@@ -273,22 +273,12 @@ def test_gelu_and_batchnorm_forwards_hand_one_task_per_pass_to_the_pool(
         assert ran == ["brainspeech-op_0"] * passes, name
 
 
-@pytest.fixture
-def shipped_split(monkeypatch):
-    """A fresh split on two CPUs at the module's shipped size floor."""
-    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
-    split = twoway._TwoWaySplit()
-    monkeypatch.setattr(twoway, "split", split)
-    yield split
-    if split._pool is not None:
-        split._pool.shutdown()
-
-
 def test_desk_width_forwards_split_at_the_shipped_floor(shipped_split, monkeypatch):
     """A desk-width batch (B=32, 32 channels, 360 samples: 368,640 elements)
     reaches the pool in conv1d, gelu and train-mode batchnorm1d, while a
     paper-width head's gelu (B=8, 16 features: 46,080 elements) and a pass one
     row-pair below the floor run inline."""
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
     ran = pool_tasks(shipped_split, monkeypatch)
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32))
@@ -349,14 +339,20 @@ def test_brain_net_step_bitwise_equal_split_and_inline(force_split, monkeypatch)
 
 
 @pytest.fixture
-def fresh_split(monkeypatch):
-    """A new, not yet started split with no size floor."""
+def shipped_split(monkeypatch):
+    """A new, not yet started split at the module's shipped size floor."""
     split = twoway._TwoWaySplit()
     monkeypatch.setattr(twoway, "split", split)
-    monkeypatch.setattr(twoway, "_SPLIT_MIN_SIZE", 0)
     yield split
     if split._pool is not None:
         split._pool.shutdown()
+
+
+@pytest.fixture
+def fresh_split(shipped_split, monkeypatch):
+    """A new, not yet started split with no size floor."""
+    monkeypatch.setattr(twoway, "_SPLIT_MIN_SIZE", 0)
+    return shipped_split
 
 
 def conv_gelu_glu_step(seed=0):
@@ -410,8 +406,10 @@ def test_desk_train_step_leaves_at_most_one_extra_thread(fresh_split, monkeypatc
     desk_steps_leave_at_most_one_extra_thread(fresh_split, 4, 120)
 
 
-def test_desk_train_step_at_the_shipped_floor_leaves_at_most_one_extra_thread(shipped_split):
+def test_desk_train_step_at_the_shipped_floor_leaves_at_most_one_extra_thread(
+        shipped_split, monkeypatch):
     """The README desk batch (B=32, 360 samples) at the floor the module ships."""
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
     desk_steps_leave_at_most_one_extra_thread(shipped_split, 32, 360)
 
 
