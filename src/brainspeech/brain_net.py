@@ -273,23 +273,20 @@ class BrainNet:
             h = subject_mix(m, h, sidx)
         self._check(h, "subject")
 
+        # Each layer is conv (plus the skip) then BatchNorm and the activation,
+        # as two fused ops: neither the sum nor BatchNorm's output is kept.
         for b, (d_a, d_b) in enumerate(dilation_schedule(c.blocks)):
+            skip = c.use_skip_connections and h.shape[1] == c.d2
             c1 = conv1d(h, self.params[f"block{b}.conv1.w"], self.params[f"block{b}.conv1.b"],
-                        dilation=d_a)
-            if c.use_skip_connections and h.shape[1] == c1.shape[1]:
-                c1 = add(c1, h)
-            h1 = self._act(batchnorm1d(c1, self.params[f"block{b}.bn1.gamma"],
-                                       self.params[f"block{b}.bn1.beta"],
-                                       self.bn_states[f"block{b}.bn1"], training,
-                                       update_running))
+                        dilation=d_a, residual=h if skip else None)
+            h1 = batchnorm1d(c1, self.params[f"block{b}.bn1.gamma"],
+                             self.params[f"block{b}.bn1.beta"], self.bn_states[f"block{b}.bn1"],
+                             training, update_running, activation=c.activation)
             c2 = conv1d(h1, self.params[f"block{b}.conv2.w"], self.params[f"block{b}.conv2.b"],
-                        dilation=d_b)
-            if c.use_skip_connections:
-                c2 = add(c2, h1)
-            h2 = self._act(batchnorm1d(c2, self.params[f"block{b}.bn2.gamma"],
-                                       self.params[f"block{b}.bn2.beta"],
-                                       self.bn_states[f"block{b}.bn2"], training,
-                                       update_running))
+                        dilation=d_b, residual=h1 if c.use_skip_connections else None)
+            h2 = batchnorm1d(c2, self.params[f"block{b}.bn2.gamma"],
+                             self.params[f"block{b}.bn2.beta"], self.bn_states[f"block{b}.bn2"],
+                             training, update_running, activation=c.activation)
             if c.use_glu_conv:
                 h = glu(conv1d(h2, self.params[f"block{b}.conv3.w"],
                                self.params[f"block{b}.conv3.b"]))

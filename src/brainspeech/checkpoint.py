@@ -25,6 +25,7 @@ import numpy as np
 
 from .brain_net import BrainNet, BrainNetConfig
 from .config import Config
+from .dataset import io as dataset_io
 from .preprocessing import ScalerParams
 from .speech import FeatureStats
 
@@ -116,13 +117,18 @@ def _check_entries(what: str, stored: List[tuple], rebuilt: List[tuple]) -> None
 def load_checkpoint(ckpt_dir) -> dict:
     """Rebuild networks, run config and preprocessing state from a checkpoint.
 
-    Raises ``ValueError`` unless the manifest is format 2, names exactly the
-    rebuilt networks' parameters and BatchNorm layers with their shapes, and
-    its blob has as many bytes as those shapes and the manifest's sha256. A
-    missing manifest key or an unknown config field is a ``ValueError`` too.
+    Raises ``FileNotFoundError`` without ``manifest.json``,
+    ``dataset.io.DatasetFormatError`` unless it is a UTF-8 JSON object, and
+    ``ValueError`` unless the manifest is format 2, names exactly the rebuilt
+    networks' parameters and BatchNorm layers with their shapes, and its blob
+    has as many bytes as those shapes and the manifest's sha256. A missing
+    manifest key or an unknown config field is a ``ValueError`` too.
     """
     ckpt_dir = Path(ckpt_dir)
-    manifest = json.loads((ckpt_dir / "manifest.json").read_text())
+    path = ckpt_dir / "manifest.json"
+    if not path.is_file():
+        raise FileNotFoundError(f"missing checkpoint manifest: {path}")
+    manifest = dataset_io.load_json_object(path, ())
     if manifest.get("format") != 2:
         raise ValueError(f"manifest.json: checkpoint format {manifest.get('format')!r} is not 2")
     try:

@@ -31,7 +31,8 @@ MANIFEST_KEYS = ("name", "recording_rate", "audio_rate", "channels", "subjects")
 
 
 class DatasetFormatError(ValueError):
-    """A file in the dataset root, or an eval report, violates its format."""
+    """A file in the dataset root, an eval report or a checkpoint manifest
+    violates its format."""
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -39,11 +40,13 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def load_json_object(path: Path, keys: Tuple[str, ...]) -> dict:
-    """A JSON object that holds every one of ``keys``."""
+    """A UTF-8 JSON object that holds every one of ``keys``."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DatasetFormatError(f"missing file: {path}")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}")
     if not isinstance(obj, dict):

@@ -89,12 +89,15 @@ def _tap_span(t: int, k: int, dilation: int, j: int):
     return lo, max(min(t - off, t), lo), off
 
 
-def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) -> Tensor:
-    """Same-padded dilated 1D convolution.
+def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
+           residual: Optional[Tensor] = None) -> Tensor:
+    """Same-padded dilated 1D convolution, plus an optional residual.
 
     ``x`` is (B, Cin, T), ``w`` is (Cout, Cin, k) with k odd, ``b`` is
     (Cout,). Output time length equals input time length; padding is
-    ``dilation * (k - 1) / 2`` zeros on each side.
+    ``dilation * (k - 1) / 2`` zeros on each side. ``residual`` (B, Cout, T)
+    is added after the bias, ``(W·cols + b) + residual``, in the forward's
+    own pass, so no separate sum is kept for backward.
 
     Forward and input gradient run one GEMM per sample and the weight
     gradient one GEMM over all B*T columns. Over two threads
@@ -114,6 +117,8 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
         raise ValueError("conv1d: dilation must be >= 1")
     if b is not None and b.shape != (cout,):
         raise ValueError(f"conv1d: bias shape {b.shape} != ({cout},)")
+    if residual is not None and residual.shape != (batch, cout, t):
+        raise ValueError(f"conv1d: residual shape {residual.shape} != {(batch, cout, t)}")
 
     w2 = w.data.reshape(cout, cin * k)
     out_data = np.empty((batch, cout, t), dtype=np.result_type(w.data, x.data))
@@ -130,6 +135,8 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
         np.matmul(w2, xs, out=out_data[rows])
         if b is not None:
             out_data[rows] += b.data[:, None]
+        if residual is not None:
+            out_data[rows] += residual.data[rows]
 
     twoway.split(batch, out_data.size, forward)
 
@@ -186,10 +193,14 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1) 
             w.accumulate(dw2.reshape(cout, cin, k))
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2)))
+        # g is read no more: the residual may keep it as its gradient buffer.
+        # It gets g before x gets dx, the order of a separate add node.
+        if residual is not None:
+            residual.accumulate(g)
         if need_x:
             x.accumulate(dx)
 
-    parents = (x, w, b) if b is not None else (x, w)
+    parents = tuple(p for p in (x, w, b, residual) if p is not None)
     return from_op(out_data, parents, backward)
 
 
@@ -205,6 +216,30 @@ class BatchNormState:
         self.initialized = False
 
 
+def _affine(gamma: np.ndarray, beta: np.ndarray, xh: np.ndarray, out: np.ndarray) -> None:
+    """BatchNorm's output ``gamma * xh + beta`` into ``out``."""
+    np.multiply(gamma[:, None], xh, out=out)
+    out += beta[:, None]
+
+
+def _act_grad(act_backward, gamma: np.ndarray, beta: np.ndarray, xhat: np.ndarray,
+              cdf: Optional[np.ndarray], g: np.ndarray, dtype) -> np.ndarray:
+    """The gradient at BatchNorm's normalised output: ``g`` itself without an
+    activation, else the activation's gradient at that output, recomputed per
+    half-row (``dtype`` is the output's) by the forward's own expression."""
+    if act_backward is None:
+        return g
+    dy = np.empty(xhat.shape, dtype=dtype)
+
+    def rows(r) -> None:
+        y = dy[r]
+        _affine(gamma, beta, xhat[r], y)
+        act_backward(y, None if cdf is None else cdf[r], g[r], y)
+
+    twoway.split(len(dy), dy.size, rows)
+    return dy
+
+
 def batchnorm1d(
     x: Tensor,
     gamma: Tensor,
@@ -212,23 +247,42 @@ def batchnorm1d(
     state: BatchNormState,
     training: bool,
     update_running: bool = True,
+    activation: Optional[str] = None,
 ) -> Tensor:
-    """Per-channel normalization over the (batch, time) axes.
+    """Per-channel normalization over the (batch, time) axes, then optionally
+    ``activation`` (``"gelu"`` or ``"relu"``).
 
     Train mode normalizes by batch statistics and (optionally) updates the
     running estimates; eval mode uses the frozen running statistics and
     fails if none were ever recorded.
 
-    The elementwise passes (centring, squaring, scaling and the affine) run
-    per half of the batch (``twoway.split``). The mean and the variance stay
+    The elementwise passes (centring, squaring, scaling, the affine, the
+    activation and their backward) run per half of the batch
+    (``twoway.split``). The mean, the variance and the backward's sums stay
     one reduction over the whole array on the calling thread, so no sum
     changes its order and the result is bitwise that of the serial path.
+
+    With an activation the op returns its output and keeps only the
+    normalised input (and GELU's cdf): backward recomputes the normalised
+    output ``gamma * xhat + beta`` per half-row with the forward's own
+    expression, so its gradients are bitwise those of ``gelu`` or ``relu``
+    applied to the plain op's output, which is never kept.
     """
     if x.ndim != 3:
         raise ValueError("batchnorm1d expects (B, C, T)")
     batch, channels, t = x.shape
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ValueError("batchnorm1d: gamma/beta must be (C,)")
+    if activation is not None and activation not in _ACTIVATIONS:
+        raise ValueError(f"batchnorm1d: unknown activation {activation!r}")
+    act_forward, act_backward = _ACTIVATIONS.get(activation, (None, None))
+
+    def normalise_rows(rows, xh: np.ndarray) -> None:
+        """Writes ``out_data[rows]``: the affine of the normalised ``xh``, activated."""
+        y = out_data[rows]
+        _affine(gamma.data, beta.data, xh, y)
+        if act_forward is not None:
+            act_forward(y, None if cdf is None else cdf[rows], y)
 
     if training:
         if batch < 2:
@@ -239,6 +293,7 @@ def batchnorm1d(
         # exactly as ndarray.var sums it, then it is scaled in place.
         xhat = np.empty_like(x.data, dtype=np.result_type(x.data, mu))
         out_data = np.empty_like(xhat)
+        cdf = np.empty_like(xhat) if activation == "gelu" else None
 
         def centre(rows) -> None:
             np.subtract(x.data[rows], mu[:, None], out=xhat[rows])
@@ -251,8 +306,7 @@ def batchnorm1d(
         def normalise(rows) -> None:
             xh = xhat[rows]
             xh *= inv[:, None]
-            np.multiply(gamma.data[:, None], xh, out=out_data[rows])
-            out_data[rows] += beta.data[:, None]
+            normalise_rows(rows, xh)
 
         twoway.split(batch, x.size, normalise)
         if update_running:
@@ -267,21 +321,44 @@ def batchnorm1d(
             state.initialized = True
 
         def backward(g: np.ndarray) -> None:
-            tmp = g * xhat
+            dy = _act_grad(act_backward, gamma.data, beta.data, xhat, cdf, g, out_data.dtype)
+            need_x = x.requires_grad
+            tmp = np.empty(xhat.shape, dtype=np.result_type(dy, xhat))
+            if need_x:
+                dx = np.empty(xhat.shape, dtype=np.result_type(dy, gamma.data))
+
+            def products(rows) -> None:
+                np.multiply(dy[rows], xhat[rows], out=tmp[rows])
+                if need_x:
+                    np.multiply(dy[rows], gamma.data[:, None], out=dx[rows])
+
+            twoway.split(batch, dy.size, products)
             if gamma.requires_grad:
                 gamma.accumulate(tmp.sum(axis=(0, 2)))
             if beta.requires_grad:
-                beta.accumulate(g.sum(axis=(0, 2)))
-            if x.requires_grad:
-                # dx = (inv / n) * (n * dxhat - s1 - xhat * s2), in two buffers
-                dx = g * gamma.data[:, None]
-                s1 = dx.sum(axis=(0, 2), keepdims=True)
-                s2 = np.multiply(dx, xhat, out=tmp).sum(axis=(0, 2), keepdims=True)
-                dx *= n
-                dx -= s1
-                dx -= np.multiply(xhat, s2, out=tmp)
-                dx *= inv[:, None] / n
-                x.accumulate(dx)
+                beta.accumulate(dy.sum(axis=(0, 2)))
+            if not need_x:
+                return
+            # dx = (inv / n) * (n * dxhat - s1 - xhat * s2), in two buffers
+            s1 = dx.sum(axis=(0, 2), keepdims=True)
+
+            def centred(rows) -> None:
+                d = dx[rows]
+                np.multiply(d, xhat[rows], out=tmp[rows])
+                d *= n
+                d -= s1
+
+            twoway.split(batch, dx.size, centred)
+            s2 = tmp.sum(axis=(0, 2), keepdims=True)
+            inv_n = inv[:, None] / n
+
+            def scaled(rows) -> None:
+                d = dx[rows]
+                d -= np.multiply(xhat[rows], s2, out=tmp[rows])
+                d *= inv_n
+
+            twoway.split(batch, dx.size, scaled)
+            x.accumulate(dx)
 
         return from_op(out_data, (x, gamma, beta), backward)
 
@@ -291,24 +368,54 @@ def batchnorm1d(
     scale_c = (gamma.data * rinv)[:, None]
     xhat = np.empty_like(x.data, dtype=np.result_type(x.data, state.running_mean))
     out_data = np.empty_like(xhat, dtype=np.result_type(gamma.data, xhat))
+    cdf = np.empty_like(out_data) if activation == "gelu" else None
 
     def normalise(rows) -> None:
         xh = np.subtract(x.data[rows], state.running_mean[:, None], out=xhat[rows])
         xh *= rinv[:, None]
-        np.multiply(gamma.data[:, None], xh, out=out_data[rows])
-        out_data[rows] += beta.data[:, None]
+        normalise_rows(rows, xh)
 
     twoway.split(batch, x.size, normalise)
 
     def backward_eval(g: np.ndarray) -> None:
+        dy = _act_grad(act_backward, gamma.data, beta.data, xhat, cdf, g, out_data.dtype)
         if gamma.requires_grad:
-            gamma.accumulate((g * xhat).sum(axis=(0, 2)))
+            gamma.accumulate((dy * xhat).sum(axis=(0, 2)))
         if beta.requires_grad:
-            beta.accumulate(g.sum(axis=(0, 2)))
+            beta.accumulate(dy.sum(axis=(0, 2)))
         if x.requires_grad:
-            x.accumulate(g * scale_c)
+            x.accumulate(dy * scale_c)
 
     return from_op(out_data, (x, gamma, beta), backward_eval)
+
+
+def _gelu_forward(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> None:
+    """``cdf = 0.5 * (1 + erf(x * (1 / sqrt(2))))`` and ``out = x * cdf``;
+    ``out`` may be ``x`` itself."""
+    c = np.multiply(x, _INV_SQRT2, out=cdf)
+    erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    np.multiply(x, c, out=out)
+
+
+def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """``out = g * (cdf + x * pdf(x))``; ``out`` may be ``x`` itself."""
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    np.multiply(g, cdf + x * pdf, out=out)
+
+
+def _relu_forward(x: np.ndarray, _cdf: None, out: np.ndarray) -> None:
+    np.maximum(x, 0, out=out)
+
+
+def _relu_backward(x: np.ndarray, _cdf: None, g: np.ndarray, out: np.ndarray) -> None:
+    np.multiply(g, x > 0, out=out)
+
+
+# activation -> (forward, backward) row math; GELU's needs its cdf kept
+_ACTIVATIONS = {"gelu": (_gelu_forward, _gelu_backward),
+                "relu": (_relu_forward, _relu_backward)}
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -323,11 +430,7 @@ def gelu(x: Tensor) -> Tensor:
     out1 = np.empty_like(x1)
 
     def forward(r) -> None:
-        c = np.multiply(x1[r], _INV_SQRT2, out=cdf[r])
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(x1[r], c, out=out1[r])
+        _gelu_forward(x1[r], cdf[r], out1[r])
 
     twoway.split(len(x1), x1.size, forward)
 
@@ -336,9 +439,7 @@ def gelu(x: Tensor) -> Tensor:
         dx = np.empty(x1.shape, dtype=np.result_type(g, x.data))
 
         def rows(r) -> None:
-            xs = x1[r]
-            pdf = np.exp(-0.5 * xs * xs) * _INV_SQRT2PI
-            np.multiply(g1[r], cdf[r] + xs * pdf, out=dx[r])
+            _gelu_backward(x1[r], cdf[r], g1[r], dx[r])
 
         twoway.split(len(dx), dx.size, rows)
         x.accumulate(dx.reshape(x.shape))
@@ -347,10 +448,13 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0)
+    out_data = np.empty_like(x.data)
+    _relu_forward(x.data, None, out_data)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate(g * (x.data > 0))
+        dx = np.empty_like(g)
+        _relu_backward(x.data, None, g, dx)
+        x.accumulate(dx)
 
     return from_op(out_data, (x,), backward)
 

@@ -586,6 +586,18 @@ class TestCheckpointValidation:
         assert len(err) == 1 and err[0].startswith("error category=invalid: ")
         assert needle in err[0]
 
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": "\xff"}'],
+                             ids=["array", "not-utf8"])
+    def test_eval_rejects_malformed_manifest(self, workspace, tmp_path, capsys, content):
+        ckpt = tmp_path / "best"
+        shutil.copytree(workspace / "run" / "best", ckpt)
+        (ckpt / "manifest.json").write_bytes(content)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                     str(workspace / "data"), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error category=format: ")
+        assert str(ckpt / "manifest.json") in err[0]
+
     def test_flipped_byte_names_both_hashes(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "best"
         shutil.copytree(workspace / "run" / "best", ckpt)

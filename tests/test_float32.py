@@ -94,9 +94,19 @@ def test_op_keeps_float32(name):
 
 def test_brain_net_forward_loss_backward_float32(monkeypatch):
     """Every activation, every propagated gradient and every parameter
-    gradient of a desk-width train step is float32."""
-    out_dtypes, grad_dtypes = [], []
+    gradient of a desk-width train step is float32, and so are the cdf that
+    each fused BatchNorm-GELU keeps and the output its backward recomputes."""
+    out_dtypes, grad_dtypes, fused_dtypes = [], [], []
     from_op = tensor_mod.from_op
+    gelu_forward, gelu_backward = ops._ACTIVATIONS["gelu"]
+
+    def recording_forward(x, cdf, out):
+        gelu_forward(x, cdf, out)
+        fused_dtypes.extend([cdf.dtype, out.dtype])
+
+    def recording_backward(y, cdf, g, out):
+        fused_dtypes.extend([y.dtype, cdf.dtype])  # y: the recomputed output
+        gelu_backward(y, cdf, g, out)
 
     def recording_from_op(data, parents, backward):
         out_dtypes.append(np.asarray(data).dtype)
@@ -110,6 +120,7 @@ def test_brain_net_forward_loss_backward_float32(monkeypatch):
 
     monkeypatch.setattr(ops, "from_op", recording_from_op)
     monkeypatch.setattr(Tensor, "accumulate", recording_accumulate)
+    monkeypatch.setitem(ops._ACTIVATIONS, "gelu", (recording_forward, recording_backward))
 
     cfg = BrainNetConfig(in_channels=32, out_features=16, n_subjects=2, d1=32, d2=32,
                          harmonics=8)
@@ -122,7 +133,11 @@ def test_brain_net_forward_loss_backward_float32(monkeypatch):
     loss = clip_loss_batch(z, y)
     loss.backward()
 
-    assert len(out_dtypes) > 50 and set(out_dtypes) == {np.dtype(F32)}
+    # 47 op outputs: 5 blocks of 2 conv1d, 2 fused batchnorm1d, conv1d and glu,
+    # 9 before the blocks, 3 in the head and 5 in the loss
+    assert len(out_dtypes) == 47 and set(out_dtypes) == {np.dtype(F32)}
+    # 10 layers, forward and backward, per half-row when split
+    assert len(fused_dtypes) >= 40 and set(fused_dtypes) == {np.dtype(F32)}
     assert len(grad_dtypes) > 50 and set(grad_dtypes) == {np.dtype(F32)}
     for p in net.parameters():
         assert p.data.dtype == F32, p.name

@@ -4,9 +4,11 @@ The ops split their per-sample work over the calling thread and one pool
 thread. Splitting must not change a bit: outputs, every gradient and the
 BatchNorm running statistics are compared byte for byte with the oracles
 below, with the split forced on (two CPUs, no size floor) and forced off
-(one CPU). Further tests check that the split passes really reach the pool
-thread, that desk-width passes split at the shipped size floor, that a whole
-network step gives the same bytes either way, and the pool's own lifecycle.
+(one CPU). The fused forms, conv1d with a residual and batchnorm1d with an
+activation, are compared the same way with the unfused ops they stand for.
+Further tests check that the split passes really reach the pool thread,
+that desk-width passes split at the shipped size floor, that a whole network
+step gives the same bytes either way, and the pool's own lifecycle.
 """
 
 import math
@@ -233,6 +235,62 @@ def test_gelu_and_glu_bitwise_match_serial_oracles(split_mode, dtype):
             assert_bitwise(dx, want_dx, f"glu dx {shape}")
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("source", ["separate", "input"])
+def test_conv1d_residual_bitwise_matches_conv_then_add(split_mode, source, dtype):
+    """The residual's gradient is g before the conv's dx is added, as the
+    add node's was when it ran before the conv node's backward."""
+    rng = np.random.default_rng(9)
+    for batch in BATCHES:
+        x = rng.normal(size=(batch, 5, 12)).astype(dtype)
+        w = rng.normal(size=(5, 5, 3)).astype(dtype)
+        b = rng.normal(size=5).astype(dtype)
+        r = rng.normal(size=(batch, 5, 12)).astype(dtype)
+        g = rng.normal(size=(batch, 5, 12)).astype(dtype)
+        if source == "input":
+            fused = lambda x_, w_, b_: ops.conv1d(x_, w_, b_, dilation=2, residual=x_)
+            plain = lambda x_, w_, b_: ops.add(ops.conv1d(x_, w_, b_, dilation=2), x_)
+            arrays = [x, w, b]
+        else:
+            fused = lambda x_, w_, b_, r_: ops.conv1d(x_, w_, b_, dilation=2, residual=r_)
+            plain = lambda x_, w_, b_, r_: ops.add(ops.conv1d(x_, w_, b_, dilation=2), r_)
+            arrays = [x, w, b, r]
+        got_out, got_grads = run_op(fused, arrays, g)
+        want_out, want_grads = run_op(plain, arrays, g)
+        assert_bitwise(got_out, want_out, f"out B={batch}")
+        for i, (got_, want_) in enumerate(zip(got_grads, want_grads)):
+            assert_bitwise(got_, want_, f"grad {i} B={batch}")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batchnorm1d_activation_bitwise_matches_batchnorm_then_activation(
+        split_mode, training, activation, dtype):
+    act = {"gelu": ops.gelu, "relu": ops.relu}[activation]
+    rng = np.random.default_rng(10)
+    gamma = rng.normal(size=6).astype(dtype)
+    beta = rng.normal(size=6).astype(dtype)
+    warm = Tensor((rng.normal(size=(4, 6, 37)) * 2).astype(dtype))
+    for batch in BATCHES[1:]:
+        x = (rng.normal(size=(batch, 6, 37)) * 3 + 1).astype(dtype)
+        g = rng.normal(size=(batch, 6, 37)).astype(dtype)
+        got, want = [], []
+        for fused, into in ((True, got), (False, want)):
+            state = BatchNormState(6, dtype=dtype)
+            ops.batchnorm1d(warm, Tensor(gamma), Tensor(beta), state, True)
+            if fused:
+                fn = lambda x_, g_, b_: ops.batchnorm1d(x_, g_, b_, state, training,
+                                                        activation=activation)
+            else:
+                fn = lambda x_, g_, b_: act(ops.batchnorm1d(x_, g_, b_, state, training))
+            out, grads = run_op(fn, [x, gamma, beta], g)
+            into.extend([out, *grads, state.running_mean, state.running_var])
+        names = ("out", "dx", "dgamma", "dbeta", "mean", "var")
+        for name, got_, want_ in zip(names, got, want):
+            assert_bitwise(got_, want_, f"{name} B={batch}")
+
+
 def pool_tasks(split, monkeypatch):
     """Starts ``split``'s pool and returns the list of the thread names that
     ran each task handed to it since."""
@@ -265,6 +323,10 @@ def test_gelu_and_batchnorm_forwards_hand_one_task_per_pass_to_the_pool(
         "gelu": (lambda: ops.gelu(x), 1),
         "batchnorm1d train": (lambda: ops.batchnorm1d(x, gamma, beta, state, True), 2),
         "batchnorm1d eval": (lambda: ops.batchnorm1d(x, gamma, beta, state, False), 1),
+        "batchnorm1d train gelu": (
+            lambda: ops.batchnorm1d(x, gamma, beta, state, True, activation="gelu"), 2),
+        "batchnorm1d eval relu": (
+            lambda: ops.batchnorm1d(x, gamma, beta, state, False, activation="relu"), 1),
     }
     for name, (forward, passes) in forwards.items():
         ran.clear()
@@ -301,6 +363,31 @@ def test_desk_width_forwards_split_at_the_shipped_floor(shipped_split, monkeypat
         with no_grad():
             forward()
         assert bool(ran) == splits, name
+
+
+def test_fused_layer_passes_split_at_desk_width(shipped_split, monkeypatch):
+    """At desk width (B=32, 32 channels, 360 samples) and the shipped floor,
+    conv1d's residual add rides in its one split forward pass, and a fused
+    batchnorm1d hands the pool its two forward passes and its four backward
+    ones: the recompute with the activation's gradient, the products with
+    xhat and gamma, and the two dx passes."""
+    monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
+    ran = pool_tasks(shipped_split, monkeypatch)
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 32, 3)).astype(np.float32))
+    gamma = Tensor(np.ones(32, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(32, np.float32), requires_grad=True)
+    g = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32))
+    with no_grad():
+        ops.conv1d(x, w, dilation=2, residual=x)
+    assert ran == ["brainspeech-op_0"]
+    for activation in ("gelu", "relu"):
+        ran.clear()
+        out = ops.batchnorm1d(x, gamma, beta, BatchNormState(32), True, activation=activation)
+        assert len(ran) == 2, activation
+        inner_product_full(out, g).backward()
+        assert ran == ["brainspeech-op_0"] * 6, activation
 
 
 def brain_net_step(seed=0):

@@ -89,6 +89,8 @@ class TestConv1d:
         w = Tensor(np.zeros((2, 4, 3)))
         with pytest.raises(ValueError):
             conv1d(x, w)
+        with pytest.raises(ValueError, match="residual shape"):
+            conv1d(x, Tensor(np.zeros((2, 3, 3))), residual=x)
 
     def test_grad(self):
         rng = np.random.default_rng(4)
@@ -111,6 +113,23 @@ class TestConv1d:
         x = Tensor(rng.normal(size=(2, 3, 8)))
         w = Tensor(rng.normal(size=(2, 3, 3)))
         err = grad_check(lambda x_, w_: mean_all(gelu(conv1d(x_, w_, dilation=3))), [x, w])
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("residual", ["separate", "input"])
+    def test_grad_residual(self, residual):
+        """A separate residual, and the conv's own input as in a block, whose
+        gradient then sums the skip's and the conv's contributions."""
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(2, 3, 7)))
+        w = Tensor(rng.normal(size=(3, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+        if residual == "input":
+            err = grad_check(lambda x_, w_, b_: mean_all(gelu(
+                conv1d(x_, w_, b_, dilation=2, residual=x_))), [x, w, b])
+        else:
+            r = Tensor(rng.normal(size=(2, 3, 7)))
+            err = grad_check(lambda x_, w_, b_, r_: mean_all(gelu(
+                conv1d(x_, w_, b_, dilation=2, residual=r_))), [x, w, b, r])
         assert err < 1e-4
 
 
@@ -168,6 +187,30 @@ class TestBatchNorm:
             return mean_all(gelu(batchnorm1d(x_, g_, b_, state, training=False)))
 
         assert grad_check(f, [x, gamma, beta]) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_grad_fused_activation(self, training, activation):
+        rng = np.random.default_rng(9)
+        state = BatchNormState(2, dtype=np.float64)
+        warm = Tensor(rng.normal(size=(4, 2, 10)))
+        batchnorm1d(warm, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
+        x = Tensor(rng.normal(size=(3, 2, 5)))
+        gamma = Tensor(rng.normal(size=2) + 1.0)
+        beta = Tensor(rng.normal(size=2))
+        probe = Tensor(rng.normal(size=(3, 2, 5)))
+
+        def f(x_, g_, b_):
+            out = batchnorm1d(x_, g_, b_, state, training, update_running=False,
+                              activation=activation)
+            return inner_product_full(out, probe)
+
+        assert grad_check(f, [x, gamma, beta]) < 1e-4
+
+    def test_unknown_activation_raises(self):
+        with pytest.raises(ValueError, match="unknown activation"):
+            batchnorm1d(Tensor(np.zeros((2, 2, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                        BatchNormState(2), training=True, activation="tanh")
 
 
 class TestActivations:
