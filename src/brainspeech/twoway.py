@@ -1,10 +1,11 @@
 """One pool thread that shares the independent halves of a pass with the calling thread.
 
 The ops in :mod:`brainspeech.numerics.ops` (conv1d's forward and backward,
-batchnorm1d's elementwise forward passes, gelu's forward and backward, glu's
-forward and backward), :func:`brainspeech.preprocessing.resample` (channel
-groups) and :meth:`brainspeech.preprocessing.ScalerParams.fit` (channel rows)
-all split through the one instance :data:`split`. Callers look it up here at call
+batchnorm1d's elementwise passes with its fused activation, forward and
+train-mode backward, gelu's forward and backward, glu's forward and
+backward), :func:`brainspeech.preprocessing.resample` (channel groups) and
+:meth:`brainspeech.preprocessing.ScalerParams.fit` (channel rows) all split
+through the one instance :data:`split`. Callers look it up here at call
 time, so replacing it (or ``_usable_cpus`` and ``_SPLIT_MIN_SIZE``) in this
 module changes every site. Only untraced inner functions run on the pool
 thread: every function a profiler wraps by name runs on the calling thread.

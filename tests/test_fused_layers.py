@@ -91,9 +91,10 @@ def test_train_step_and_eval_bitwise_equal_to_unfused_oracle(split_mode, activat
             == step_bytes(unfused_forward, activation, d1))
 
 
-def graph_after_loss(forward, batch=4, t=120):
+def graph_after_loss(forward, batch, t):
     """(nodes, bytes) that ``perfbench/tracer.py``'s ``graph_size`` counts
-    after a desk-width (d1=d2=32) train-mode forward plus the CLIP loss."""
+    after a desk-width (d1=d2=32, 5 blocks) train-mode forward plus the CLIP
+    loss."""
     from tracer import graph_size
 
     cfg = BrainNetConfig(in_channels=32, out_features=16, n_subjects=2, d1=32, d2=32,
@@ -103,8 +104,8 @@ def graph_after_loss(forward, batch=4, t=120):
     positions = rng.uniform(0.1, 0.9, size=(32, 2))
     x = Tensor(rng.normal(size=(batch, 32, t)).astype(np.float32))
     y = Tensor(rng.normal(size=(batch, 16, t)).astype(np.float32))
-    loss = clip_loss_batch(forward(net, x, np.arange(batch) % 2, positions, True, rng), y)
-    return graph_size(loss), 2 * cfg.blocks, batch * cfg.d2 * t * 4
+    return graph_size(clip_loss_batch(
+        forward(net, x, np.arange(batch) % 2, positions, True, rng), y))
 
 
 def test_graph_keeps_two_activations_fewer_per_layer(monkeypatch):
@@ -112,7 +113,9 @@ def test_graph_keeps_two_activations_fewer_per_layer(monkeypatch):
     residual sum, BatchNorm's xhat and output, GELU's cdf and output; the
     fused layer keeps neither the sum nor BatchNorm's output."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    (fused_nodes, fused_bytes), layers, act_bytes = graph_after_loss(fused_forward)
-    (oracle_nodes, oracle_bytes), _, _ = graph_after_loss(unfused_forward)
+    batch, t = 4, 120
+    fused_nodes, fused_bytes = graph_after_loss(fused_forward, batch, t)
+    oracle_nodes, oracle_bytes = graph_after_loss(unfused_forward, batch, t)
+    layers, act_bytes = 2 * 5, batch * 32 * t * 4  # float32 (B, d2, T)
     assert fused_bytes <= oracle_bytes - 2 * layers * act_bytes
     assert fused_nodes == oracle_nodes - 2 * layers
