@@ -15,18 +15,16 @@ import numpy as np
 from .numerics import (
     BatchNormState,
     Tensor,
-    add,
     batchnorm1d,
     conv1d,
     gelu,
     glu,
-    matmul2d,
     mix,
     no_grad,
     parameter,
     relu,
-    reshape,
     softmax,
+    spatial_logits,
     subject_mix,
 )
 
@@ -189,9 +187,6 @@ class BrainNet:
     def parameters(self) -> List[Tensor]:
         return list(self.params.values())
 
-    def _act(self, t: Tensor) -> Tensor:
-        return gelu(t) if self.config.activation == "gelu" else relu(t)
-
     def _basis(self, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         key = np.ascontiguousarray(positions).tobytes()
         if key not in self._basis_cache:
@@ -214,11 +209,7 @@ class BrainNet:
 
     def attention_logits(self, positions: np.ndarray) -> Tensor:
         cos_b, sin_b = self._basis(positions)
-        c = self.config
-        k2 = c.harmonics * c.harmonics
-        re2 = reshape(self.params["spatial.re"], (c.d1, k2))
-        im2 = reshape(self.params["spatial.im"], (c.d1, k2))
-        return add(matmul2d(re2, Tensor(cos_b)), matmul2d(im2, Tensor(sin_b)))
+        return spatial_logits(self.params["spatial.re"], self.params["spatial.im"], cos_b, sin_b)
 
     def attention_weights(self, positions: np.ndarray) -> np.ndarray:
         """Eval-mode softmax weights (no dropout), (D1, C)."""
@@ -296,7 +287,7 @@ class BrainNet:
 
         if c.use_final_convs:
             h = conv1d(h, self.params["head.conv1.w"], self.params["head.conv1.b"])
-            h = self._act(h)
+            h = gelu(h) if c.activation == "gelu" else relu(h)
             out = conv1d(h, self.params["head.conv2.w"], self.params["head.conv2.b"])
         else:
             out = conv1d(h, self.params["head.direct.w"], self.params["head.direct.b"])

@@ -80,9 +80,7 @@ def _write_run_json(out_dir: Path, command: str, config: dict, started: float,
     }
     if extra:
         payload.update(extra)
-    (out_dir / "run.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    dataset_io.dump_json(out_dir / "run.json", payload)
 
 
 def _load_synth_spec(path: str) -> SynthSpec:
@@ -145,14 +143,14 @@ def cmd_train(args) -> int:
 def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
     data_cfg = data_config_from(ckpt["config"])
     manifest = dataset_io.read_manifest(Path(dataset_root))
-    if abs(float(manifest.get("window_s", data_cfg.window_s)) - data_cfg.window_s) > 1e-9:
+    if abs(manifest.get("window_s", data_cfg.window_s) - data_cfg.window_s) > 1e-9:
         raise CliError(
             "config",
             f"checkpoint was trained on {data_cfg.window_s}s windows but dataset "
             f"{dataset_root} uses {manifest['window_s']}s; train a matching-window model",
         )
     n_channels = ckpt["brain"].config.in_channels
-    if int(manifest["channels"]) != n_channels:
+    if manifest["channels"] != n_channels:
         raise CliError(
             "config",
             f"checkpoint was trained on {n_channels} channels but dataset "
@@ -214,19 +212,13 @@ def cmd_eval(args) -> int:
         "trial_subjects": [int(s) for s in report.trial_subjects],
         "trial_true_index": [int(i) for i in report.true_index],
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    dataset_io.dump_json(out_dir / "report.json", payload)
 
     probs32 = np.ascontiguousarray(report.probs, dtype="<f4")
     (out_dir / "probs.bin").write_bytes(probs32.tobytes())
-    (out_dir / "probs.json").write_text(
-        json.dumps(
-            {"trials": report.n_trials, "candidates": report.n_candidates,
-             "dtype": "<f4", "candidate_ids": report.candidate_ids,
-             "anchor_words": report.anchor_words}, indent=2, sort_keys=True
-        ) + "\n", encoding="utf-8",
-    )
+    dataset_io.dump_json(out_dir / "probs.json", {
+        "trials": report.n_trials, "candidates": report.n_candidates, "dtype": "<f4",
+        "candidate_ids": report.candidate_ids, "anchor_words": report.anchor_words})
 
     with open(out_dir / "words.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -251,11 +243,8 @@ def cmd_eval(args) -> int:
             (recon_dir / f"{t}.bin").write_bytes(
                 np.ascontiguousarray(recon[t], dtype="<f4").tobytes()
             )
-        (recon_dir / "recon.json").write_text(
-            json.dumps({"trials": int(recon.shape[0]),
-                        "shape": list(recon.shape[1:]), "dtype": "<f4"},
-                       indent=2, sort_keys=True) + "\n", encoding="utf-8",
-        )
+        dataset_io.dump_json(recon_dir / "recon.json", {
+            "trials": int(recon.shape[0]), "shape": list(recon.shape[1:]), "dtype": "<f4"})
 
     _write_run_json(out_dir, "eval", config.to_dict(), started,
                     extra={"topk": payload["topk"]})
@@ -339,9 +328,7 @@ def cmd_analyze(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "analysis.json").write_text(
-        json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    dataset_io.dump_json(out_dir / "analysis.json", out)
     _write_run_json(out_dir, "analyze", {"report": str(args.report)}, started)
     print(json.dumps({k: v for k, v in out.items() if k != "report"}))
     return 0

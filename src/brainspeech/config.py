@@ -83,41 +83,37 @@ class Config:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def validate(self) -> None:
-        if self.speech.representation not in REPRESENTATIONS:
-            raise ConfigError(
-                f"speech.representation: {self.speech.representation!r} is not one of "
-                + ", ".join(REPRESENTATIONS)
-            )
-        if self.speech.n_mels not in SUPPORTED_N_MELS:
-            raise ConfigError(
-                "speech.n_mels: must be one of " + ", ".join(map(str, SUPPORTED_N_MELS))
-            )
-        if self.training.objective not in ("clip", "regression"):
-            raise ConfigError("training.objective: must be clip or regression")
-        if self.training.objective == "regression" and self.speech.representation != "mel":
-            raise ConfigError(
-                "training.objective: regression requires speech.representation=mel"
-            )
-        if self.model.ablation != "none" and self.model.ablation not in ABLATION_FLAGS:
-            raise ConfigError(
-                f"model.ablation: {self.model.ablation!r} not in {ABLATION_FLAGS}"
-            )
-        if self.training.batch_size < 2:
-            raise ConfigError("training.batch_size: must be >= 2")
-        if not self.dataset.window_s > 0:
-            raise ConfigError("dataset.window_s: must be > 0")
-        # baseline_correct averages the first round(baseline_s * rate) samples
-        if not self.preprocessing.baseline_s * WORKING_RATE > 0.5:
-            raise ConfigError(
-                f"preprocessing.baseline_s: must span at least one sample at {WORKING_RATE:g} Hz"
-            )
-        if not (math.isfinite(self.training.lr) and self.training.lr > 0):
-            raise ConfigError("training.lr: must be a finite number > 0")
-        for key in ("updates_per_epoch", "max_epochs"):
-            if getattr(self.training, key) < 1:
-                raise ConfigError(f"training.{key}: must be >= 1")
-        if any(k < 1 for k in self.eval.topk):
-            raise ConfigError("eval.topk: every entry must be >= 1")
+        """Raises a :class:`ConfigError` naming the first key out of its range."""
+        sp, pre, tr, ev = self.speech, self.preprocessing, self.training, self.eval
+        ablation = self.model.ablation
+        rules = (
+            ("speech.representation", sp.representation in REPRESENTATIONS,
+             f"{sp.representation!r} is not one of " + ", ".join(REPRESENTATIONS)),
+            ("speech.n_mels", sp.n_mels in SUPPORTED_N_MELS,
+             "must be one of " + ", ".join(map(str, SUPPORTED_N_MELS))),
+            ("training.objective", tr.objective in ("clip", "regression"),
+             "must be clip or regression"),
+            ("training.objective", tr.objective != "regression" or sp.representation == "mel",
+             "regression requires speech.representation=mel"),
+            ("model.ablation", ablation == "none" or ablation in ABLATION_FLAGS,
+             f"{ablation!r} not in {ABLATION_FLAGS}"),
+            ("training.batch_size", tr.batch_size >= 2, "must be >= 2"),
+            ("dataset.window_s", self.dataset.window_s > 0, "must be > 0"),
+            # baseline_correct averages the first round(baseline_s * rate) samples
+            ("preprocessing.baseline_s", pre.baseline_s * WORKING_RATE > 0.5,
+             f"must span at least one sample at {WORKING_RATE:g} Hz"),
+            ("preprocessing.clamp", pre.clamp is None or pre.clamp > 0, "must be > 0, or none"),
+            ("training.lr", math.isfinite(tr.lr) and tr.lr > 0, "must be a finite number > 0"),
+            ("training.updates_per_epoch", tr.updates_per_epoch >= 1, "must be >= 1"),
+            ("training.max_epochs", tr.max_epochs >= 1, "must be >= 1"),
+            ("training.seed", tr.seed >= 0, "must be >= 0"),
+            ("eval.topk", all(k >= 1 for k in ev.topk), "every entry must be >= 1"),
+            ("eval.restricted_n", ev.restricted_n >= 2, "must be >= 2"),
+            ("eval.restricted_seed", ev.restricted_seed >= 0, "must be >= 0"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{key}: {rule}")
 
     def to_dict(self) -> dict:
         out = {}

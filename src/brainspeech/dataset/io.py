@@ -35,7 +35,8 @@ class DatasetFormatError(ValueError):
     violates its format."""
 
 
-def _dump_json(path: Path, obj) -> None:
+def dump_json(path: Path, obj) -> None:
+    """``obj`` as indented, key-sorted UTF-8 JSON plus a newline."""
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -84,11 +85,29 @@ def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
 
 def write_manifest(root: Path, manifest: dict) -> None:
     root.mkdir(parents=True, exist_ok=True)
-    _dump_json(root / "manifest.json", manifest)
+    dump_json(root / "manifest.json", manifest)
 
 
 def read_manifest(root: Path) -> dict:
-    return load_json_object(Path(root) / "manifest.json", MANIFEST_KEYS)
+    """The manifest: ``subjects`` a non-empty list of distinct non-empty
+    strings, ``channels`` and ``audio_rate`` positive integers, and
+    ``recording_rate`` (and ``window_s`` and ``anchor_s`` if present)
+    positive numbers."""
+    path = Path(root) / "manifest.json"
+    manifest = load_json_object(path, MANIFEST_KEYS)
+    subjects = manifest["subjects"]
+    if not (isinstance(subjects, list) and subjects
+            and all(isinstance(s, str) and s for s in subjects)
+            and len(set(subjects)) == len(subjects)):
+        raise DatasetFormatError(
+            f"{path}: subjects {subjects!r} is not a list of distinct non-empty strings")
+    for key, kinds in (("channels", int), ("audio_rate", int), ("recording_rate", (int, float)),
+                       ("window_s", (int, float)), ("anchor_s", (int, float))):
+        value = manifest.get(key, 1)  # window_s and anchor_s are optional
+        if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < np.inf:
+            noun = "a positive integer" if kinds is int else "a positive number"
+            raise DatasetFormatError(f"{path}: {key} {value!r} is not {noun}")
+    return manifest
 
 
 def write_recording(
@@ -103,7 +122,7 @@ def write_recording(
     rec_dir.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(signal, dtype="<f4")
     (rec_dir / f"{recording_id}.bin").write_bytes(arr.tobytes())
-    _dump_json(
+    dump_json(
         rec_dir / f"{recording_id}.json",
         {
             "channels": int(arr.shape[0]),
@@ -216,7 +235,7 @@ def write_feature_file(root: Path, segment_id: int, features: np.ndarray, featur
     ft_dir.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(features, dtype="<f4")
     (ft_dir / f"{segment_id}.bin").write_bytes(arr.tobytes())
-    _dump_json(
+    dump_json(
         ft_dir / f"{segment_id}.json",
         {"features": int(arr.shape[0]), "samples": int(arr.shape[1]),
          "feature_rate": float(feature_rate)},
@@ -234,7 +253,7 @@ def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
 
 
 def write_splits(root: Path, splits: SplitAssignment) -> None:
-    _dump_json(
+    dump_json(
         Path(root) / "splits.json",
         {
             "ratios": list(splits.ratios),
@@ -289,8 +308,8 @@ def load_segments(root: Path, manifest: dict, splits: SplitAssignment
     onsets are keyed by recording id, for every recording.
     """
     root = Path(root)
-    anchor = float(manifest.get("anchor_s", 0.5))
-    duration = float(manifest.get("window_s", 3.0))
+    anchor = manifest.get("anchor_s", 0.5)
+    duration = manifest.get("window_s", 3.0)
     segments: Dict[int, SpeechSegment] = {}
     first_onsets: Dict[str, Dict[int, float]] = {}
     for rec_id in recording_ids(root):

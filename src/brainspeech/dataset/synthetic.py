@@ -224,7 +224,7 @@ def generate_synthetic(spec: SynthSpec, out_dir: Path) -> Dict:
         (truth_dir / f"mixing_{subject}.bin").write_bytes(
             np.ascontiguousarray(mixings[m], dtype="<f4").tobytes()
         )
-    io._dump_json(
+    io.dump_json(
         truth_dir / "meta.json",
         {
             "delay_s": RESPONSE_DELAY_S,

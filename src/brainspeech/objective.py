@@ -11,14 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import (
-    Tensor,
-    diagonal,
-    logsumexp,
-    mean_all,
-    pairwise_inner,
-    sub,
-)
+from .numerics import Tensor, cross_entropy_diagonal, pairwise_inner
 
 
 def clip_loss_batch(z: Tensor, y: Tensor) -> Tensor:
@@ -31,7 +24,7 @@ def clip_loss_batch(z: Tensor, y: Tensor) -> Tensor:
     logits = pairwise_inner(z, y)
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("non-finite logits")
-    return mean_all(sub(logsumexp(logits, axis=1), diagonal(logits)))
+    return cross_entropy_diagonal(logits)
 
 
 def true_ranks(scores: np.ndarray, true_index: np.ndarray) -> Tuple[np.ndarray, int]:

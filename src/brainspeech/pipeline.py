@@ -21,6 +21,7 @@ from .dataset import io as dataset_io
 from .dataset.types import SPLITS, Recording, Sample
 from .dataset.windows import WORKING_RATE, try_extract_sample
 from .speech import (
+    MEL_HOP,
     REPRESENTATIONS,
     FeatureStats,
     align_feature_rate,
@@ -161,7 +162,7 @@ class DataPipeline:
         """Log-Mel of a segment's audio on the working-rate window grid."""
         audio, rate = dataset_io.read_audio(self.root, sid, self.manifest["audio_rate"])
         mel = log_compress(mel_spectrogram(audio, n_mels=self.config.n_mels, sr=rate))
-        return align_feature_rate(mel, rate / 128.0, self.config.window_s, WORKING_RATE)
+        return align_feature_rate(mel, rate / MEL_HOP, self.config.window_s, WORKING_RATE)
 
     def _raw_target(self, sid: int) -> np.ndarray:
         """A segment's unnormalized target, computed on first use and

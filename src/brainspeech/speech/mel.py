@@ -7,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 AUDIO_RATE = 16000
+MEL_HOP = 128  # STFT hop in audio samples: Mel frames come at rate / MEL_HOP
 FMIN = 0.0
 FMAX = 8000.0
 SUPPORTED_N_MELS = (20, 40, 80, 120)
@@ -52,7 +53,7 @@ def frame_signal(audio: np.ndarray, frame: int, hop: int) -> np.ndarray:
 
 
 def mel_spectrogram(audio: np.ndarray, n_mels: int = 120, frame: int = 512,
-                    hop: int = 128, sr: int = AUDIO_RATE) -> np.ndarray:
+                    hop: int = MEL_HOP, sr: int = AUDIO_RATE) -> np.ndarray:
     """Magnitude STFT (periodic Hann, normalized by 1/frame) through the
     mel filterbank; output is (n_mels, 1 + floor((len - frame) / hop))."""
     audio = np.asarray(audio, dtype=np.float64)

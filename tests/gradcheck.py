@@ -1,6 +1,7 @@
 """Central finite-difference verification of reverse-mode gradients, and
-the two ops that only the tests use: ``scale`` and ``inner_product_full``,
-the scalar probe that turns a tensor output into a loss to check."""
+the ops that only the tests use: ``scale``, ``add`` (the unfused oracle of
+``conv1d``'s residual), and ``inner_product_full`` and ``mean_all``, the
+scalar probes that turn a tensor output into a loss to check."""
 
 from __future__ import annotations
 
@@ -16,6 +17,30 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a.accumulate(g * c)
+
+    return from_op(out_data, (a,), backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    out_data = a.data + b.data
+
+    def backward(g: np.ndarray) -> None:
+        a.accumulate(g)
+        if b.requires_grad:
+            # a may keep g as its gradient buffer and add into it later
+            b.accumulate(g.copy() if a.requires_grad else g)
+
+    return from_op(out_data, (a, b), backward)
+
+
+def mean_all(a: Tensor) -> Tensor:
+    n = a.size
+    out_data = np.asarray(a.data.mean())
+
+    def backward(g: np.ndarray) -> None:
+        a.accumulate(np.full_like(a.data, g / n))
 
     return from_op(out_data, (a,), backward)
 

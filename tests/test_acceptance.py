@@ -8,6 +8,7 @@ pins the bytes of a short synth/train/eval run, which shows that outputs do
 not change, not that they are good. The suite finishes in about a minute.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -25,26 +26,24 @@ from brainspeech.numerics import (
     Tensor,
     batchnorm1d,
     conv1d,
-    diagonal,
+    cross_entropy_diagonal,
     gelu,
     glu,
-    logsumexp,
-    matmul2d,
-    mean_all,
     mix,
     mse,
+    ops,
     pairwise_inner,
     relu,
     softmax,
+    spatial_logits,
     subject_mix,
 )
-from brainspeech.objective import softmax_rows
+from brainspeech.objective import clip_loss_batch, softmax_rows
 from brainspeech.preprocessing import resample
 from brainspeech.speech import mel_spectrogram
 
-from gradcheck import grad_check, inner_product_full
+from gradcheck import grad_check, inner_product_full, mean_all
 from test_brain_net import receptive_field_radius
-from test_objective import CandidateSet, clip_loss
 from test_speech_features import dft_mel_oracle
 
 
@@ -120,13 +119,14 @@ def test_criterion_2_gradient_suite():
     errors["softmax"] = grad_check(
         lambda x_: mean_all(inner_product_full(softmax(x_, axis=1), Tensor(cs))), [xs]
     )
-    xl = Tensor(rng.normal(size=(3, 6)))
-    errors["logsumexp"] = grad_check(lambda x_: mean_all(logsumexp(x_, axis=1)), [xl])
+    xl = Tensor(rng.normal(size=(4, 4)))
+    errors["cross_entropy_diagonal"] = grad_check(cross_entropy_diagonal, [xl])
 
-    a2 = Tensor(rng.normal(size=(3, 4)))
-    b2 = Tensor(rng.normal(size=(4, 5)))
-    errors["matmul2d"] = grad_check(
-        lambda a_, b_: mean_all(gelu(matmul2d(a_, b_))), [a2, b2]
+    re = Tensor(rng.normal(size=(3, 2, 2)))
+    im = Tensor(rng.normal(size=(3, 2, 2)))
+    cos_b, sin_b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    errors["spatial_logits"] = grad_check(
+        lambda r_, i_: mean_all(gelu(spatial_logits(r_, i_, cos_b, sin_b))), [re, im]
     )
     wm = Tensor(rng.normal(size=(4, 3)))
     xm = Tensor(rng.normal(size=(2, 3, 5)))
@@ -136,12 +136,10 @@ def test_criterion_2_gradient_suite():
     errors["subject_mix"] = grad_check(
         lambda m_, x_: mean_all(gelu(subject_mix(m_, x_, np.array([0, 1, 0])))), [ms, xs3]
     )
-    d = Tensor(rng.normal(size=(4, 4)))
-    errors["diagonal"] = grad_check(lambda x_: mean_all(diagonal(x_)), [d])
     zp = Tensor(rng.normal(size=(3, 2, 4)))
     yp = Tensor(rng.normal(size=(3, 2, 4)))
     errors["pairwise_inner"] = grad_check(
-        lambda z_, y_: mean_all(logsumexp(pairwise_inner(z_, y_), axis=1)), [zp, yp]
+        lambda z_, y_: mean_all(gelu(pairwise_inner(z_, y_))), [zp, yp]
     )
     zi = Tensor(rng.normal(size=(2, 4)))
     yi = Tensor(rng.normal(size=(2, 4)))
@@ -150,9 +148,14 @@ def test_criterion_2_gradient_suite():
     bm = Tensor(rng.normal(size=(2, 3)))
     errors["mse"] = grad_check(mse, [am, bm])
 
-    zc = Tensor(rng.normal(size=(2, 5)))
-    cands = CandidateSet(features=rng.normal(size=(4, 2, 5)), positive=1)
-    errors["clip_loss_wrt_z"] = grad_check(lambda z_: clip_loss(z_, cands), [zc])
+    zc = Tensor(rng.normal(size=(4, 2, 5)))
+    yc = Tensor(rng.normal(size=(4, 2, 5)))
+    errors["clip_loss_batch"] = grad_check(clip_loss_batch, [zc, yc])
+    public_ops = {
+        name for name, fn in vars(ops).items()
+        if inspect.isfunction(fn) and fn.__module__ == ops.__name__ and not name.startswith("_")
+    }
+    unchecked = sorted(public_ops - set(errors))
 
     # full brain module at the pinned instance size: C=4, T=40, F=8, batch=3
     cfg = BrainNetConfig(in_channels=4, out_features=8, n_subjects=2, d1=6, d2=8,
@@ -173,10 +176,11 @@ def test_criterion_2_gradient_suite():
     worst_prim = max(errors.values())
     criterion(
         2,
-        "all primitives < 1e-4 and full brain module < 1e-3 vs finite differences",
-        worst_prim < 1e-4 and end_to_end < 1e-3 and elapsed < 120,
+        "every public op checked, all primitives < 1e-4 and full brain module < 1e-3 "
+        "vs finite differences",
+        not unchecked and worst_prim < 1e-4 and end_to_end < 1e-3 and elapsed < 120,
         f"worst primitive={worst_prim:.2e} end-to-end={end_to_end:.2e} "
-        f"elapsed={elapsed:.1f}s",
+        f"unchecked ops={unchecked} elapsed={elapsed:.1f}s",
     )
 
 

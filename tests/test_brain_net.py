@@ -11,9 +11,9 @@ from brainspeech.brain_net import (
     dilation_schedule,
     fourier_basis,
 )
-from brainspeech.numerics import Tensor, mean_all, gelu
+from brainspeech.numerics import Tensor, gelu
 
-from gradcheck import grad_check, inner_product_full
+from gradcheck import grad_check, inner_product_full, mean_all
 
 
 def receptive_field_radius(config: BrainNetConfig) -> int:

@@ -165,6 +165,12 @@ def _manifest_without(key):
     return corrupt
 
 
+def _manifest_value(key, value):
+    def corrupt(root):
+        return _edit_json(root / "manifest.json", lambda m: m.update({key: value}))
+    return corrupt
+
+
 def _dev_split(root):
     return _edit_json(root / "splits.json", lambda s: s["assignment"].update({"0": "dev"}))
 
@@ -246,7 +252,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("override", [
         "dataset.window_s=0", "dataset.window_s=-1", "preprocessing.baseline_s=-1",
         "training.lr=-1", "training.updates_per_epoch=0", "training.max_epochs=0",
-        "eval.topk=0,10",
+        "eval.topk=0,10", "training.seed=-1", "eval.restricted_seed=-1", "eval.restricted_n=1",
+        "preprocessing.clamp=-5", "preprocessing.clamp=0",
     ])
     def test_out_of_range_value_rejected(self, workspace, tmp_path, capsys, override):
         key = override.split("=")[0]
@@ -333,6 +340,15 @@ class TestErrorPaths:
     @pytest.mark.parametrize("corrupt, commands, representation", [
         (_manifest_without("subjects"), ("ingest", "train", "eval"), "external"),
         (_manifest_without("name"), ("ingest", "train", "eval"), "external"),
+        # a string would pass `in` and `.index` by substring matching
+        (_manifest_value("subjects", "s00s01"), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("subjects", ["s00", "s00"]), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("channels", "8"), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("channels", True), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("audio_rate", 16000.5), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("recording_rate", 0), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("window_s", "3.0"), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("anchor_s", -0.5), ("ingest", "train", "eval"), "external"),
         (_dev_split, ("ingest", "train", "eval"), "external"),
         (_unknown_subject, ("ingest", "train", "eval"), "external"),
         (_recording_without_channels, ("ingest", "train", "eval"), "external"),
@@ -350,7 +366,10 @@ class TestErrorPaths:
         # eval's checkpoint channel check fires first
         (_manifest_channels, ("ingest", "train"), "external"),
         (_wav_8khz, ("ingest", "train"), "mel"),
-    ], ids=["manifest-subjects", "manifest-name", "dev-split", "unknown-subject",
+    ], ids=["manifest-subjects", "manifest-name", "manifest-subjects-string",
+            "manifest-subjects-repeated", "manifest-channels-string", "manifest-channels-bool",
+            "manifest-audio-rate-float", "manifest-recording-rate-zero",
+            "manifest-window-string", "manifest-anchor-negative", "dev-split", "unknown-subject",
             "recording-channels", "feature-rate", "recording-samples-null",
             "recording-rate-null", "feature-samples-null", "feature-rate-null",
             "splits-assignment", "splits-id",

@@ -304,3 +304,26 @@ class TestInterchangeValidation:
         with pytest.raises(io.DatasetFormatError) as err:
             io.read_splits(tmp_path)
         assert str(err.value) == f"{path}: {what} is not an integer"
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("subjects", [["s00"]], "subjects [['s00']] is not a list of distinct non-empty strings"),
+    ("subjects", [""], "subjects [''] is not a list of distinct non-empty strings"),
+    ("subjects", [], "subjects [] is not a list of distinct non-empty strings"),
+    ("channels", 8.0, "channels 8.0 is not a positive integer"),
+    ("channels", 0, "channels 0 is not a positive integer"),
+    ("audio_rate", None, "audio_rate None is not a positive integer"),
+    ("recording_rate", False, "recording_rate False is not a positive number"),
+    ("window_s", float("inf"), "window_s inf is not a positive number"),
+    ("anchor_s", float("nan"), "anchor_s nan is not a positive number"),
+])
+def test_manifest_value_types_named(tmp_path, key, value, what):
+    manifest = {"name": "x", "recording_rate": 120.0, "audio_rate": 16000, "channels": 8,
+                "subjects": ["s00", "s01"], "window_s": 3, "anchor_s": 0.5}
+    io.write_manifest(tmp_path, manifest)
+    assert io.read_manifest(tmp_path) == manifest  # the valid manifest reads back
+    manifest[key] = value
+    io.write_manifest(tmp_path, manifest)
+    with pytest.raises(io.DatasetFormatError) as err:
+        io.read_manifest(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'manifest.json'}: {what}"

@@ -18,6 +18,8 @@ from brainspeech.brain_net import BrainNet, BrainNetConfig, dilation_schedule
 from brainspeech.numerics import Tensor, no_grad, ops
 from brainspeech.objective import clip_loss_batch
 
+from gradcheck import add
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -42,12 +44,12 @@ def unfused_forward(net, x, subject_idx, positions, training, rng=None):
     for b, (d_a, d_b) in enumerate(dilation_schedule(c.blocks)):
         c1 = ops.conv1d(h, p[f"block{b}.conv1.w"], p[f"block{b}.conv1.b"], dilation=d_a)
         if c.use_skip_connections and h.shape[1] == c1.shape[1]:
-            c1 = ops.add(c1, h)
+            c1 = add(c1, h)
         h1 = act(ops.batchnorm1d(c1, p[f"block{b}.bn1.gamma"], p[f"block{b}.bn1.beta"],
                                  net.bn_states[f"block{b}.bn1"], training))
         c2 = ops.conv1d(h1, p[f"block{b}.conv2.w"], p[f"block{b}.conv2.b"], dilation=d_b)
         if c.use_skip_connections:
-            c2 = ops.add(c2, h1)
+            c2 = add(c2, h1)
         h2 = act(ops.batchnorm1d(c2, p[f"block{b}.bn2.gamma"], p[f"block{b}.bn2.beta"],
                                  net.bn_states[f"block{b}.bn2"], training))
         if c.use_glu_conv:

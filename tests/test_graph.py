@@ -9,11 +9,10 @@ import pytest
 from brainspeech import brain_net
 from brainspeech.brain_net import BrainNet, BrainNetConfig
 from brainspeech.evaluation.scoring import _forward_chunks
-from brainspeech.numerics import Tensor, conv1d, gelu, mean_all, mix, no_grad, parameter
-from brainspeech.numerics.ops import add, relu
+from brainspeech.numerics import Tensor, conv1d, gelu, mix, no_grad, parameter, relu
 from brainspeech.objective import clip_loss_batch
 
-from gradcheck import inner_product_full, scale
+from gradcheck import add, inner_product_full, mean_all, scale
 
 
 def desk_net(seed=1):

@@ -26,7 +26,7 @@ from brainspeech.brain_net import BrainNet, BrainNetConfig
 from brainspeech.numerics import AdamState, BatchNormState, Tensor, adam_step, no_grad, ops
 from brainspeech.objective import clip_loss_batch
 
-from gradcheck import inner_product_full
+from gradcheck import add, inner_product_full, mean_all
 
 # ---------------------------------------------------------------------------
 # Oracles: the serial op bodies of the previous release, as plain numpy.
@@ -249,11 +249,11 @@ def test_conv1d_residual_bitwise_matches_conv_then_add(split_mode, source, dtype
         g = rng.normal(size=(batch, 5, 12)).astype(dtype)
         if source == "input":
             fused = lambda x_, w_, b_: ops.conv1d(x_, w_, b_, dilation=2, residual=x_)
-            plain = lambda x_, w_, b_: ops.add(ops.conv1d(x_, w_, b_, dilation=2), x_)
+            plain = lambda x_, w_, b_: add(ops.conv1d(x_, w_, b_, dilation=2), x_)
             arrays = [x, w, b]
         else:
             fused = lambda x_, w_, b_, r_: ops.conv1d(x_, w_, b_, dilation=2, residual=r_)
-            plain = lambda x_, w_, b_, r_: ops.add(ops.conv1d(x_, w_, b_, dilation=2), r_)
+            plain = lambda x_, w_, b_, r_: add(ops.conv1d(x_, w_, b_, dilation=2), r_)
             arrays = [x, w, b, r]
         got_out, got_grads = run_op(fused, arrays, g)
         want_out, want_grads = run_op(plain, arrays, g)
@@ -447,7 +447,7 @@ def conv_gelu_glu_step(seed=0):
     x = Tensor(rng.normal(size=(4, 6, 30)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(8, 6, 3)).astype(np.float32), requires_grad=True)
     out = ops.glu(ops.gelu(ops.conv1d(x, w, dilation=2)))
-    ops.mean_all(out).backward()
+    mean_all(out).backward()
     return x.grad
 
 

@@ -12,21 +12,19 @@ from brainspeech.numerics import (
     Tensor,
     batchnorm1d,
     conv1d,
-    diagonal,
+    cross_entropy_diagonal,
     gelu,
     glu,
-    logsumexp,
-    matmul2d,
-    mean_all,
     mix,
     mse,
     pairwise_inner,
     relu,
     softmax,
+    spatial_logits,
     subject_mix,
 )
 
-from gradcheck import grad_check, inner_product_full
+from gradcheck import grad_check, inner_product_full, mean_all
 
 
 def conv1d_loops(x, w, b, dilation):
@@ -272,11 +270,6 @@ class TestActivations:
         c = rng.normal(size=(3, 5))
         assert grad_check(lambda x_: mean_all(inner_product_full(softmax(x_, axis=1), Tensor(c))), [x]) < 1e-4
 
-    def test_logsumexp_grad(self):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(4, 6)))
-        assert grad_check(lambda x_: mean_all(logsumexp(x_, axis=1)), [x]) < 1e-4
-
 
 class TestInnerProducts:
     def test_all_ones_counts_elements(self):
@@ -318,15 +311,69 @@ class TestInnerProducts:
         rng = np.random.default_rng(17)
         z = Tensor(rng.normal(size=(3, 2, 4)))
         y = Tensor(rng.normal(size=(3, 2, 4)))
-        assert grad_check(lambda z_, y_: mean_all(logsumexp(pairwise_inner(z_, y_), axis=1)), [z, y]) < 1e-4
+        assert grad_check(lambda z_, y_: cross_entropy_diagonal(pairwise_inner(z_, y_)), [z, y]) < 1e-4
 
 
-class TestMatmulAndMixing:
-    def test_matmul2d_matches_numpy(self):
+class TestCrossEntropyDiagonal:
+    def test_matches_softmax_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(scale=3.0, size=(5, 5))
+        want = np.mean([-math.log(math.exp(x[i, i]) / sum(math.exp(v) for v in x[i]))
+                        for i in range(5)])
+        assert cross_entropy_diagonal(Tensor(x)).item() == pytest.approx(want, abs=1e-12)
+
+    def test_uniform_logits_give_log_n(self):
+        for n in (2, 7, 31):
+            assert cross_entropy_diagonal(Tensor(np.zeros((n, n)))).item() == pytest.approx(
+                math.log(n), abs=1e-12)
+
+    def test_large_logits_stay_finite(self):
+        # exp(1000) overflows; the row maximum is subtracted first
+        x = np.full((3, 3), 1000.0)
+        x[np.diag_indices(3)] = 1001.0
+        want = math.log(math.e + 2.0) - 1.0
+        assert cross_entropy_diagonal(Tensor(x)).item() == pytest.approx(want, abs=1e-12)
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            cross_entropy_diagonal(Tensor(np.zeros((3, 4))))
+
+    def test_grad(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(4, 4)))
+        assert grad_check(cross_entropy_diagonal, [x]) < 1e-4
+
+
+class TestSpatialLogits:
+    def test_matches_loop_oracle(self):
         rng = np.random.default_rng(18)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
-        np.testing.assert_allclose(matmul2d(Tensor(a), Tensor(b)).data, a @ b)
+        re, im = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3, 3))
+        cos_b, sin_b = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+        want = np.zeros((4, 5))
+        for j in range(4):
+            for c in range(5):
+                for k in range(3):
+                    for l in range(3):
+                        want[j, c] += (re[j, k, l] * cos_b[3 * k + l, c]
+                                       + im[j, k, l] * sin_b[3 * k + l, c])
+        got = spatial_logits(Tensor(re), Tensor(im), cos_b, sin_b).data
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("im_shape,basis_rows", [((4, 3, 2), 9), ((4, 3, 3), 8)])
+    def test_shape_mismatch_raises(self, im_shape, basis_rows):
+        with pytest.raises(ValueError):
+            spatial_logits(Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros(im_shape)),
+                           np.zeros((basis_rows, 5)), np.zeros((basis_rows, 5)))
+
+    def test_grad(self):
+        rng = np.random.default_rng(29)
+        re, im = Tensor(rng.normal(size=(3, 2, 2))), Tensor(rng.normal(size=(3, 2, 2)))
+        cos_b, sin_b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        assert grad_check(lambda r_, i_: mean_all(gelu(spatial_logits(r_, i_, cos_b, sin_b))),
+                          [re, im]) < 1e-4
+
+
+class TestMixing:
     def test_mix_matches_einsum(self):
         rng = np.random.default_rng(19)
         w = rng.normal(size=(5, 3))
@@ -369,11 +416,6 @@ class TestMatmulAndMixing:
         w = Tensor(rng.normal(size=(4, 3)))
         x = Tensor(rng.normal(size=(2, 3, 5)))
         assert grad_check(lambda w_, x_: mean_all(gelu(mix(w_, x_))), [w, x]) < 1e-4
-
-    def test_diagonal_grad(self):
-        rng = np.random.default_rng(24)
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert grad_check(lambda x_: mean_all(diagonal(x_)), [x]) < 1e-4
 
 
 class TestMSE:
