@@ -41,6 +41,8 @@ _ABLATIONS = {
 }
 ABLATION_FLAGS = tuple(_ABLATIONS)
 
+ENCODE_ROWS = 64  # rows per forward in ``BrainNet.encode``: bounds its activations
+
 
 @dataclass
 class BrainNetConfig:
@@ -215,6 +217,19 @@ class BrainNet:
         """Eval-mode softmax weights (no dropout), (D1, C)."""
         with no_grad():
             return softmax(self.attention_logits(positions), axis=1).data
+
+    def encode(self, x: np.ndarray, subject_idx: np.ndarray, positions: Optional[np.ndarray],
+               subject_fallback: bool = False) -> np.ndarray:
+        """Eval-mode output of every row of ``x``, (B, C, T) -> (B, F, T),
+        forwarded ``ENCODE_ROWS`` rows at a time without a graph. In eval mode
+        a row's output depends on that row alone, so the bytes are those of
+        one whole-batch forward."""
+        with no_grad():
+            return np.concatenate([
+                self.forward(Tensor(x[i : i + ENCODE_ROWS]), subject_idx[i : i + ENCODE_ROWS],
+                             positions, training=False, subject_fallback=subject_fallback).data
+                for i in range(0, x.shape[0], ENCODE_ROWS)
+            ])
 
     def forward(
         self,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .brain_net import BrainNet, BrainNetConfig
-from .config import Config
+from .config import Config, ConfigError
 from .dataset import io as dataset_io
 from .preprocessing import ScalerParams
 from .speech import FeatureStats
@@ -122,7 +122,9 @@ def load_checkpoint(ckpt_dir) -> dict:
     ``ValueError`` unless the manifest is format 2, names exactly the rebuilt
     networks' parameters and BatchNorm layers with their shapes, and its blob
     has as many bytes as those shapes and the manifest's sha256. A missing
-    manifest key or an unknown config field is a ``ValueError`` too.
+    manifest key or an unknown config field is a ``ValueError`` too, and a
+    run config outside the ranges ``train`` enforces a ``ConfigError``
+    naming the manifest and the key.
     """
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "manifest.json"
@@ -133,6 +135,8 @@ def load_checkpoint(ckpt_dir) -> dict:
         raise ValueError(f"manifest.json: checkpoint format {manifest.get('format')!r} is not 2")
     try:
         return _rebuild(ckpt_dir, manifest)
+    except ConfigError as exc:
+        raise ConfigError(f"manifest.json: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"manifest.json: missing key {exc}") from exc
     except TypeError as exc:
@@ -140,6 +144,8 @@ def load_checkpoint(ckpt_dir) -> dict:
 
 
 def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
+    config = Config.from_dict(manifest["config"])
+    config.validate()
     # Nets built without an rng draw no init: the blob fills every parameter.
     brain = BrainNet(BrainNetConfig.from_dict(manifest["brain_config"]), None)
     deep_mel = None
@@ -181,7 +187,7 @@ def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
         offset += 8 * c
 
     return {
-        "config": Config.from_dict(manifest["config"]),
+        "config": config,
         "brain": brain,
         "deep_mel": deep_mel,
         "scalers": {k: ScalerParams.from_dict(v) for k, v in manifest["scalers"].items()},

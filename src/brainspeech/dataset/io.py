@@ -28,6 +28,7 @@ from .types import SPLITS, Recording, SpeechSegment, SplitAssignment, WordEvent
 
 EVENTS_HEADER = ["onset_s", "duration_s", "word", "segment_id"]
 MANIFEST_KEYS = ("name", "recording_rate", "audio_rate", "channels", "subjects")
+NUMBER = (int, float)  # the JSON types of a number that need not be an integer
 
 
 class DatasetFormatError(ValueError):
@@ -101,13 +102,20 @@ def read_manifest(root: Path) -> dict:
             and len(set(subjects)) == len(subjects)):
         raise DatasetFormatError(
             f"{path}: subjects {subjects!r} is not a list of distinct non-empty strings")
-    for key, kinds in (("channels", int), ("audio_rate", int), ("recording_rate", (int, float)),
-                       ("window_s", (int, float)), ("anchor_s", (int, float))):
-        value = manifest.get(key, 1)  # window_s and anchor_s are optional
-        if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < np.inf:
-            noun = "a positive integer" if kinds is int else "a positive number"
-            raise DatasetFormatError(f"{path}: {key} {value!r} is not {noun}")
+    for key, kinds in (("channels", int), ("audio_rate", int), ("recording_rate", NUMBER),
+                       ("window_s", NUMBER), ("anchor_s", NUMBER)):
+        _positive(path, key, manifest.get(key, 1), kinds)  # window_s and anchor_s are optional
     return manifest
+
+
+def _positive(path: Path, key: str, value, kinds=int):
+    """``value`` if it is a positive finite ``kinds`` (an int, or with
+    ``NUMBER`` an int or float; never a bool), else a
+    :class:`DatasetFormatError` naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < np.inf:
+        noun = "a positive integer" if kinds is int else "a positive number"
+        raise DatasetFormatError(f"{path}: {key} {value!r} is not {noun}")
+    return value
 
 
 def write_recording(
@@ -146,13 +154,13 @@ def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
     path = rec_dir / f"{recording_id}.json"
     meta = load_json_object(path, ("channels", "samples", "sample_rate", "channel_names",
                                    "positions"))
-    if meta["channels"] != manifest["channels"]:
+    channels = _positive(path, "channels", meta["channels"])
+    if channels != manifest["channels"]:
         raise DatasetFormatError(
-            f"{path}: {meta['channels']} channels, manifest says {manifest['channels']}")
-    signal = _read_matrix(rec_dir / f"{recording_id}.bin",
-                          _as_number(path, "channels", meta["channels"]),
-                          _as_number(path, "samples", meta["samples"]))
-    sample_rate = _as_number(path, "sample_rate", meta["sample_rate"], float)
+            f"{path}: {channels} channels, manifest says {manifest['channels']}")
+    signal = _read_matrix(rec_dir / f"{recording_id}.bin", channels,
+                          _positive(path, "samples", meta["samples"]))
+    sample_rate = float(_positive(path, "sample_rate", meta["sample_rate"], NUMBER))
     try:
         return Recording(
             recording_id=recording_id,
@@ -247,9 +255,9 @@ def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
     path = ft_dir / f"{segment_id}.json"
     meta = load_json_object(path, ("features", "samples", "feature_rate"))
     arr = _read_matrix(ft_dir / f"{segment_id}.bin",
-                       _as_number(path, "features", meta["features"]),
-                       _as_number(path, "samples", meta["samples"]))
-    return arr, _as_number(path, "feature_rate", meta["feature_rate"], float)
+                       _positive(path, "features", meta["features"]),
+                       _positive(path, "samples", meta["samples"]))
+    return arr, float(_positive(path, "feature_rate", meta["feature_rate"], NUMBER))
 
 
 def write_splits(root: Path, splits: SplitAssignment) -> None:
@@ -267,25 +275,24 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 def read_splits(root: Path) -> SplitAssignment:
     path = Path(root) / "splits.json"
     obj = load_json_object(path, ("assignment", "ratios", "seed"))
-    assignment = {_as_number(path, "segment id", k): v for k, v in obj["assignment"].items()}
+    assignment = {_as_int(path, "segment id", k): v for k, v in obj["assignment"].items()}
     for sid, split in assignment.items():
         if split not in SPLITS:
             raise DatasetFormatError(f"{path}: segment {sid} has unknown split {split!r}")
     return SplitAssignment(
         assignment=assignment,
         ratios=tuple(obj["ratios"]),
-        seed=_as_number(path, "seed", obj["seed"]),
-        excluded=[_as_number(path, "excluded segment id", x) for x in obj.get("excluded", [])],
+        seed=_as_int(path, "seed", obj["seed"]),
+        excluded=[_as_int(path, "excluded segment id", x) for x in obj.get("excluded", [])],
     )
 
 
-def _as_number(path: Path, what: str, value, kind=int):
-    """``kind(value)``, or a :class:`DatasetFormatError` naming ``path``."""
+def _as_int(path: Path, what: str, value) -> int:
+    """``int(value)``, or a :class:`DatasetFormatError` naming ``path``."""
     try:
-        return kind(value)
+        return int(value)
     except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise DatasetFormatError(f"{path}: {what} {value!r} is not {noun}") from None
+        raise DatasetFormatError(f"{path}: {what} {value!r} is not an integer") from None
 
 
 def recording_ids(root: Path) -> List[str]:

@@ -9,7 +9,6 @@ import numpy as np
 
 from ..brain_net import BrainNet
 from ..dataset.splits import normalize_token
-from ..numerics import Tensor, no_grad
 from ..objective import (
     clip_scores_eval,
     regression_scores_eval,
@@ -63,17 +62,6 @@ def _find_duplicates(probs_columns: np.ndarray) -> List[Tuple[int, int]]:
     return dups
 
 
-def _forward_chunks(net: BrainNet, x: np.ndarray, sidx: np.ndarray,
-                    positions, chunk: int = 64, subject_fallback: bool = False) -> np.ndarray:
-    outs = []
-    with no_grad():
-        for i in range(0, x.shape[0], chunk):
-            out = net.forward(Tensor(x[i : i + chunk]), sidx[i : i + chunk], positions,
-                              training=False, subject_fallback=subject_fallback)
-            outs.append(out.data)
-    return np.concatenate(outs, axis=0)
-
-
 def score_test_set(
     brain: BrainNet,
     pipeline: DataPipeline,
@@ -85,11 +73,9 @@ def score_test_set(
     data = pipeline.materialize("test")
     cand_feats = data.candidates
     if deep_mel is not None:
-        cand_feats = _forward_chunks(
-            deep_mel, cand_feats, np.zeros(cand_feats.shape[0], dtype=int), None
-        )
-    z = _forward_chunks(brain, data.x, data.subject_idx, pipeline.positions,
-                        subject_fallback=subject_fallback)
+        cand_feats = deep_mel.encode(cand_feats, np.zeros(cand_feats.shape[0], dtype=int), None)
+    z = brain.encode(data.x, data.subject_idx, pipeline.positions,
+                     subject_fallback=subject_fallback)
     if objective == "clip":
         logits = clip_scores_eval(z, cand_feats)
     elif objective == "regression":

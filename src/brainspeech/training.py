@@ -7,21 +7,21 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .brain_net import BrainNet, BrainNetConfig, build_ablation, deep_mel_config
 from .checkpoint import save_checkpoint
 from .config import Config
-from .numerics import AdamState, NonFiniteGradient, Tensor, adam_step, mse, no_grad
+from .numerics import AdamState, NonFiniteGradient, Tensor, adam_step, mse
 from .objective import (
     clip_loss_batch,
     clip_scores_eval,
     regression_scores_eval,
     true_ranks,
 )
-from .pipeline import DataConfig, DataPipeline
+from .pipeline import DataConfig, DataPipeline, PreparedSplit
 
 logger = logging.getLogger(__name__)
 
@@ -134,20 +134,29 @@ def build_models(config: Config, pipeline: DataPipeline):
     return brain, deep_mel
 
 
-def _forward_targets(deep_mel: Optional[BrainNet], targets: np.ndarray,
-                     training: bool) -> Tensor:
-    if deep_mel is None:
-        return Tensor(targets)
-    sidx = np.zeros(targets.shape[0], dtype=int)
-    return deep_mel.forward(Tensor(targets), sidx, None, training=training)
-
-
-def _chunks(n: int, size: int) -> List[np.ndarray]:
-    idx = np.arange(n)
-    out = [idx[i : i + size] for i in range(0, n, size)]
-    if len(out) > 1 and out[-1].size < 2:
-        out = out[:-1]  # a single-sample tail has no negatives
-    return out
+def validate(brain: BrainNet, deep_mel: Optional[BrainNet], data: PreparedSplit,
+             positions: np.ndarray, objective: str, batch_size: int) -> Tuple[float, float]:
+    """Validation loss and top-10 of one split. The loss is the per-chunk
+    training loss over chunks of ``batch_size`` windows, weighted by chunk
+    size; top-10 is the share of windows whose target ranks below 10 among
+    all the split's candidates, under eval's tie rule."""
+    z = brain.encode(data.x, data.subject_idx, positions)
+    y = data.candidates
+    if deep_mel is not None:
+        y = deep_mel.encode(y, np.zeros(y.shape[0], dtype=int), None)
+    n = z.shape[0]
+    losses, weights = [], []
+    for start in range(0, n, batch_size):
+        rows = np.arange(start, min(start + batch_size, n))
+        if start and rows.size < 2:
+            break  # a one-window tail has no negatives
+        zc, yc = Tensor(z[rows]), Tensor(y[data.target_index[rows]])
+        loss = clip_loss_batch(zc, yc) if objective == "clip" else mse(zc, yc)
+        losses.append(loss.item())
+        weights.append(rows.size)
+    scores = (clip_scores_eval if objective == "clip" else regression_scores_eval)(z, y)
+    rank, _ = true_ranks(scores, data.target_index)
+    return float(np.average(losses, weights=weights)), float((rank < 10).mean())
 
 
 def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> TrainResult:
@@ -182,32 +191,6 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                      f"{row['valid_loss']:.8f}", f"{row['valid_top10']:.6f}"]
                 )
 
-    @no_grad()
-    def validate() -> tuple:
-        losses = []
-        weights = []
-        hits = 0
-        total = 0
-        for chunk in _chunks(valid_data.x.shape[0], tc.batch_size):
-            z = brain.forward(Tensor(valid_data.x[chunk]), valid_data.subject_idx[chunk],
-                              positions, training=False)
-            targets = valid_data.candidates[valid_data.target_index[chunk]]
-            if tc.objective == "clip":
-                y = _forward_targets(deep_mel, targets, training=False)
-                loss = clip_loss_batch(z, y).item()
-                scores = clip_scores_eval(z.data, y.data)
-            else:
-                y = Tensor(targets)
-                loss = mse(z, y).item()
-                scores = regression_scores_eval(z.data, y.data)
-            losses.append(loss)
-            weights.append(chunk.size)
-            rank, _ = true_ranks(scores, np.arange(chunk.size))
-            hits += int((rank < 10).sum())
-            total += chunk.size
-        loss = float(np.average(losses, weights=weights))
-        return loss, hits / max(total, 1)
-
     epoch = 0
     try:
         for epoch in range(1, tc.max_epochs + 1):
@@ -221,11 +204,11 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                                   train_data.subject_idx[batch], positions,
                                   training=True, rng=drop_rng)
                 targets = train_data.candidates[train_data.target_index[batch]]
-                if tc.objective == "clip":
-                    y = _forward_targets(deep_mel, targets, training=True)
-                    loss = clip_loss_batch(z, y)
-                else:
-                    loss = mse(z, Tensor(targets))
+                y = Tensor(targets)
+                if deep_mel is not None:
+                    y = deep_mel.forward(y, np.zeros(len(batch), dtype=int), None,
+                                         training=True)
+                loss = clip_loss_batch(z, y) if tc.objective == "clip" else mse(z, y)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingAborted(f"non-finite training loss at epoch {epoch}")
@@ -233,7 +216,8 @@ def train(config: Config, out_dir, pipeline: Optional[DataPipeline] = None) -> T
                 adam_step(params, adam)
                 batch_losses.append(value)
 
-            valid_loss, valid_top10 = validate()
+            valid_loss, valid_top10 = validate(brain, deep_mel, valid_data, positions,
+                                               tc.objective, tc.batch_size)
             history.append(
                 {"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
                  "valid_loss": valid_loss, "valid_top10": valid_top10}

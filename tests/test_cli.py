@@ -195,12 +195,18 @@ def _features_without_rate(root):
                       lambda m: m.pop("feature_rate"))
 
 
-def _null_sidecar_value(folder, key):
-    """``null`` as ``key`` of a recording's or a training segment's feature sidecar."""
+def _sidecar_value(folder, key, change):
+    """``change(value)`` as ``key`` of a recording's or a training segment's
+    feature sidecar."""
     def corrupt(root):
         stem = "s00_r00" if folder == "recordings" else _first_train_segment(root)
-        return _edit_json(root / folder / f"{stem}.json", lambda m: m.update({key: None}))
+        return _edit_json(root / folder / f"{stem}.json",
+                          lambda m: m.update({key: change(m[key])}))
     return corrupt
+
+
+def _null_sidecar_value(folder, key):
+    return _sidecar_value(folder, key, lambda value: None)
 
 
 def _splits_without_assignment(root):
@@ -360,6 +366,21 @@ class TestErrorPaths:
          "external"),
         (_null_sidecar_value("features", "samples"), ("ingest", "train"), "external"),
         (_null_sidecar_value("features", "feature_rate"), ("ingest", "train"), "external"),
+        # a sidecar number of the wrong JSON type, which a conversion would accept
+        (_sidecar_value("recordings", "channels", str), ("ingest", "train", "eval"),
+         "external"),
+        (_sidecar_value("recordings", "channels", float), ("ingest", "train", "eval"),
+         "external"),
+        (_sidecar_value("recordings", "samples", float), ("ingest", "train", "eval"),
+         "external"),
+        (_sidecar_value("recordings", "sample_rate", str), ("ingest", "train", "eval"),
+         "external"),
+        (_sidecar_value("recordings", "sample_rate", lambda value: 0.0),
+         ("ingest", "train", "eval"), "external"),
+        (_sidecar_value("features", "features", float), ("ingest", "train"), "external"),
+        (_sidecar_value("features", "samples", float), ("ingest", "train"), "external"),
+        (_sidecar_value("features", "feature_rate", lambda value: True), ("ingest", "train"),
+         "external"),
         (_splits_without_assignment, ("ingest", "train", "eval"), "external"),
         (_non_integer_segment_id, ("ingest", "train", "eval"), "external"),
         (_three_field_event, ("ingest", "train", "eval"), "external"),
@@ -372,6 +393,9 @@ class TestErrorPaths:
             "manifest-window-string", "manifest-anchor-negative", "dev-split", "unknown-subject",
             "recording-channels", "feature-rate", "recording-samples-null",
             "recording-rate-null", "feature-samples-null", "feature-rate-null",
+            "recording-channels-string", "recording-channels-float",
+            "recording-samples-float", "recording-rate-string", "recording-rate-zero",
+            "feature-count-float", "feature-samples-float", "feature-rate-bool",
             "splits-assignment", "splits-id",
             "event-fields",
             "manifest-channels", "wav-8khz"])
@@ -604,6 +628,21 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error category=invalid: ")
         assert needle in err[0]
+
+    @pytest.mark.parametrize("key, value", [("eval.restricted_n", 1), ("training.seed", -4)])
+    def test_eval_rejects_out_of_range_run_config(self, workspace, tmp_path, capsys, key,
+                                                  value):
+        """The stored run config must hold the ranges ``train`` enforces."""
+        ckpt = tmp_path / "best"
+        shutil.copytree(workspace / "run" / "best", ckpt)
+        section, name = key.split(".")
+        _edit_manifest(ckpt, lambda m: m["config"][section].update({name: value}))
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                     str(workspace / "data"), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category=config: manifest.json: {key}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": "\xff"}'],
                              ids=["array", "not-utf8"])

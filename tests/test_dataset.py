@@ -327,3 +327,29 @@ def test_manifest_value_types_named(tmp_path, key, value, what):
     with pytest.raises(io.DatasetFormatError) as err:
         io.read_manifest(tmp_path)
     assert str(err.value) == f"{tmp_path / 'manifest.json'}: {what}"
+
+
+@pytest.mark.parametrize("folder, key, value, what", [
+    ("recordings", "channels", "3", "channels '3' is not a positive integer"),
+    ("recordings", "channels", 3.0, "channels 3.0 is not a positive integer"),
+    ("recordings", "samples", 480.0, "samples 480.0 is not a positive integer"),
+    ("recordings", "sample_rate", "120", "sample_rate '120' is not a positive number"),
+    ("recordings", "sample_rate", float("nan"), "sample_rate nan is not a positive number"),
+    ("features", "features", True, "features True is not a positive integer"),
+    ("features", "samples", 0, "samples 0 is not a positive integer"),
+    ("features", "feature_rate", -50.0, "feature_rate -50.0 is not a positive number"),
+])
+def test_sidecar_value_types_named(tmp_path, folder, key, value, what):
+    generate_synthetic(SynthSpec(subjects=1, segments=4, channels=3, features=2,
+                                 seed=0, vocab_size=4), tmp_path)
+    manifest = io.read_manifest(tmp_path)
+    read = {"recordings": lambda: io.read_recording(tmp_path, "s00_r00", manifest),
+            "features": lambda: io.read_feature_file(tmp_path, 0)}[folder]
+    path = tmp_path / folder / ("s00_r00.json" if folder == "recordings" else "0.json")
+    meta = json.loads(path.read_text())
+    read()  # the valid sidecar reads
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(io.DatasetFormatError) as err:
+        read()
+    assert str(err.value) == f"{path}: {what}"

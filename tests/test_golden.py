@@ -11,9 +11,10 @@ default count.
 Bytes are compared only on the numerical stack the pins were taken on:
 numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 from scipy-openblas. On any
 other stack float32 sums may round differently, so there the test compares
-only the losses in ``history.csv`` and eval's top-k, to the tolerances below
-(fixed before the pins were taken). A change that alters these bytes on
-purpose updates the pins and says so in ``CHANGES.md``.
+only the losses and ``valid_top10`` in ``history.csv`` and eval's top-k, to
+the tolerances below (fixed before the pins were taken). A change that
+alters these bytes on purpose updates the pins and says so in
+``CHANGES.md``.
 """
 
 import hashlib
@@ -57,7 +58,7 @@ ARMS = {
 
 PINS = {
     "external": {
-        "history.csv": "1ffebb66568833b73f40b9cfdf92395660e15c7cddacfe92041dae06d35c5632",
+        "history.csv": "728028b570df504819c0766ebf9672e917737fe96461cd546e9dfda6262f0bd4",
         "probs.bin": "49c1b2d42fc1c56fa6682060515d49b2453ac1d5be9b584024cb8175b68e08f3",
         "report.json": "40aaca0e2311d27a2e84919b4cde041c6e682db1fabbd80fe43aa978a7b7d833",
         "words.csv": "46bffc41004ac18587416914d2c54d7a9e85ff9ee35a77ac07b68a17f360ad31",
@@ -69,26 +70,32 @@ PINS = {
         "words.csv": "323a0ce969dd70ee421f5e7d42cc21963f2a89cc08fd3883ebe76c06d088109e",
     },
     "deep-mel": {
-        "history.csv": "993b55a240db9aa0dc10a03d9d7844cf9ae13ccd5512b7898ee09a44d823cea7",
+        "history.csv": "c924ba58197c44f4fe3962ad0c411be4be1b9fd07f54d12b87b227cc77510581",
         "probs.bin": "86af7985042986363fff3daf5cd8382ea50de72e26135f122df17c99ed9e6763",
         "report.json": "2ce78c17df90bc50c306ebbf6465caf6fc35234ff181fa8abc50235b60974031",
         "words.csv": "20d84d71c0f409550bc62bf3f5c1f70356ea916678feb63d69709b429496363b",
     },
 }
 
-# Off the pinned stack: per-epoch (train_loss, valid_loss) and eval top-k.
+# Off the pinned stack: per-epoch (train_loss, valid_loss), per-epoch
+# valid_top10 (hits out of VALID_WINDOWS) and eval top-k.
 REFERENCE = {
     "external": {"losses": [(8.98633852, 3.23432334), (3.31525459, 3.23254546)],
+                 "valid_top10": [20 / 48, 20 / 48],
                  "topk": {"1": 8.333333333333332, "5": 41.66666666666667,
                           "10": 83.33333333333334}},
     "mel": {"losses": [(1.00698860, 1.02840153), (1.00314918, 1.02801887)],
+            "valid_top10": [20 / 48, 20 / 48],
             "topk": {"1": 8.333333333333332, "5": 41.66666666666667,
                      "10": 83.33333333333334}},
     "deep-mel": {"losses": [(3.80682321, 3.23468669), (3.37773776, 3.23468685)],
+                 "valid_top10": [21 / 48, 18 / 48],
                  "topk": {"1": 8.333333333333332, "5": 41.66666666666667,
                           "10": 83.33333333333334}},
 }
 LOSS_RTOL = 1e-3
+VALID_WINDOWS = 48  # validation windows of the golden data (24 candidates)
+VALID_TOP10_WINDOWS = 1  # valid_top10 may move by this many windows
 TOPK_TRIALS = 1  # top-k may move by this many test trials
 
 
@@ -126,6 +133,8 @@ def test_golden_run(golden, arm):
     run, out = golden / arm, golden / f"{arm}-eval"
     history = np.loadtxt(run / "history.csv", delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_allclose(history[:, 1:3], REFERENCE[arm]["losses"], rtol=LOSS_RTOL)
+    np.testing.assert_allclose(history[:, 3], REFERENCE[arm]["valid_top10"], rtol=0,
+                               atol=VALID_TOP10_WINDOWS / VALID_WINDOWS)
     report = json.loads((out / "report.json").read_text())
     want = REFERENCE[arm]["topk"]
     assert sorted(report["topk"]) == sorted(want)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from brainspeech import brain_net
-from brainspeech.brain_net import BrainNet, BrainNetConfig
-from brainspeech.evaluation.scoring import _forward_chunks
+from brainspeech.brain_net import BrainNet, BrainNetConfig, deep_mel_config
 from brainspeech.numerics import Tensor, conv1d, gelu, mix, no_grad, parameter, relu
 from brainspeech.objective import clip_loss_batch
 
@@ -82,18 +81,60 @@ class TestNoGrad:
             assert not records_graph()
         assert records_graph()
 
-    def test_forward_chunks_bitwise_equal(self):
-        net = desk_net()
-        positions, x, _, sidx = desk_batch(batch=10)
-        net.forward(Tensor(x), sidx, positions, training=True,
-                    rng=np.random.default_rng(0))  # record BN statistics
-        got = _forward_chunks(net, x, sidx, positions, chunk=4)
-        want = np.concatenate([
-            net.forward(Tensor(x[i : i + 4]), sidx[i : i + 4], positions, training=False).data
-            for i in range(0, 10, 4)
-        ])
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+def with_running_stats(net, seed=5):
+    """``net`` with random BatchNorm running statistics, so eval mode uses
+    per-channel values as after training."""
+    rng = np.random.default_rng(seed)
+    for st in net.bn_states.values():
+        st.running_mean = rng.normal(0.0, 0.5, st.running_mean.shape).astype(np.float32)
+        st.running_var = rng.uniform(0.5, 2.0, st.running_var.shape).astype(np.float32)
+        st.initialized = True
+    return net
+
+
+def eval_forward(net, x, sidx, positions):
+    with no_grad():
+        return net.forward(Tensor(x), sidx, positions, training=False).data
+
+
+class TestEncode:
+    """``BrainNet.encode`` runs eval mode in chunks of ``ENCODE_ROWS`` rows;
+    its bytes equal one whole-batch forward and the row-by-row forwards,
+    because in eval mode a row's output depends on that row alone."""
+
+    def check(self, net, x, sidx, positions):
+        got = net.encode(x, sidx, positions)
+        whole = eval_forward(net, x, sidx, positions)
+        rows = np.concatenate([eval_forward(net, x[i : i + 1], sidx[i : i + 1], positions)
+                               for i in range(x.shape[0])])
+        assert got.dtype == np.float32
+        assert got.shape == whole.shape
+        assert got.tobytes() == whole.tobytes()
+        assert got.tobytes() == rows.tobytes()
+
+    def test_desk_brain_net_across_the_chunk_boundary(self):
+        assert brain_net.ENCODE_ROWS == 64
+        net = with_running_stats(desk_net())
+        positions, x, _, sidx = desk_batch(batch=brain_net.ENCODE_ROWS + 3)
+        self.check(net, x, sidx, positions)
+
+    def test_deep_mel_tower_across_the_chunk_boundary(self):
+        base = desk_net().config
+        net = with_running_stats(BrainNet(deep_mel_config(20, 16, base),
+                                          np.random.default_rng(3), prefix="deepmel."))
+        x = np.random.default_rng(4).normal(size=(brain_net.ENCODE_ROWS + 1, 20, 120))
+        self.check(net, x.astype(np.float32), np.zeros(x.shape[0], dtype=int), None)
+
+    def test_paper_width_brain_net(self, monkeypatch):
+        # three rows over chunks of two keep the paper shapes cheap
+        monkeypatch.setattr(brain_net, "ENCODE_ROWS", 2)
+        cfg = BrainNetConfig(in_channels=208, out_features=16, n_subjects=2)
+        assert (cfg.d1, cfg.d2, cfg.harmonics) == (270, 320, 32)
+        net = with_running_stats(BrainNet(cfg, np.random.default_rng(6)))
+        rng = np.random.default_rng(7)
+        positions = rng.uniform(0.05, 0.95, size=(208, 2))
+        x = rng.normal(size=(3, 208, 360)).astype(np.float32)
+        self.check(net, x, np.array([0, 1, 1]), positions)
 
 
 class TestBackwardReleasesGraph:

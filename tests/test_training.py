@@ -18,6 +18,16 @@ def tiny_dataset(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def valid_dataset(tmp_path_factory):
+    """More than 10 validation segments, so top-10 is not every window."""
+    root = tmp_path_factory.mktemp("data") / "valid"
+    spec = SynthSpec(subjects=2, segments=100, channels=8, features=6,
+                     noise_std=0.0, seed=22, vocab_size=30)
+    generate_synthetic(spec, root)
+    return root
+
+
 def tiny_train_config(root, **overrides):
     cfg = Config()
     cfg.dataset.root = str(root)
@@ -192,19 +202,46 @@ class TestTrain:
         assert np.isfinite(result.best_valid_loss)
         assert (result.checkpoint_dir / "manifest.json").exists()
 
-    def test_valid_top10_breaks_ties_like_eval(self, tiny_dataset, tmp_path, monkeypatch):
-        # every score tied: trial i ranks i-th, as in eval's top-k
+    def test_valid_top10_breaks_ties_like_eval(self, valid_dataset, tmp_path, monkeypatch):
+        # every score tied: a window's rank is its target's candidate index,
+        # as in eval's top-k
         monkeypatch.setattr(training, "clip_scores_eval",
                             lambda z, y: np.zeros((z.shape[0], y.shape[0])))
-        cfg = tiny_train_config(tiny_dataset, **{"training.batch_size": 16,
-                                                 "training.max_epochs": 1})
+        ranked = []
+        real_ranks = training.true_ranks
+
+        def recorded(scores, true_index):
+            ranks, ties = real_ranks(scores, true_index)
+            ranked.append(ranks)
+            return ranks, ties
+
+        monkeypatch.setattr(training, "true_ranks", recorded)
+        cfg = tiny_train_config(valid_dataset, **{"training.max_epochs": 1})
         result = train(cfg, tmp_path / "run")
-        n = 16  # validation trials, one chunk
-        report = EvalReport(probs=np.full((n, n), 1.0 / n), true_index=np.arange(n),
-                            candidate_ids=list(range(n)), anchor_words=["w"] * n,
-                            trial_subjects=np.zeros(n, dtype=int))
-        assert result.history[0]["valid_top10"] == pytest.approx(10 / n)
-        assert topk_accuracy(report, 10) == pytest.approx(100 * 10 / n)
+        valid = DataPipeline(valid_dataset, training.data_config_from(cfg)).materialize("valid")
+        n = len(valid.candidate_ids)
+        assert n > 10
+        report = EvalReport(probs=np.full((valid.target_index.size, n), 1.0 / n),
+                            true_index=valid.target_index, candidate_ids=valid.candidate_ids,
+                            anchor_words=["w"] * n,
+                            trial_subjects=np.zeros(valid.target_index.size, dtype=int))
+        assert len(ranked) == 1 and ranked[0].tolist() == report.ranks.tolist()
+        assert result.history[0]["valid_top10"] == pytest.approx(topk_accuracy(report, 10) / 100)
+        assert result.history[0]["valid_top10"] < 1.0
+
+    def test_valid_top10_of_an_untrained_model_is_chance(self, valid_dataset, tmp_path):
+        # lr 1e-7 leaves the model at its random init; chunks of 8 windows
+        # each hold fewer than 10 targets, which must not make every window a hit
+        cfg = tiny_train_config(valid_dataset, **{"training.lr": 1e-7,
+                                                  "training.max_epochs": 2})
+        result = train(cfg, tmp_path / "run")
+        valid = DataPipeline(valid_dataset, training.data_config_from(cfg)).materialize("valid")
+        windows, n = valid.target_index.size, len(valid.candidate_ids)
+        chance = min(10, n) / n
+        bound = 3 * np.sqrt(chance * (1 - chance) / windows)  # three binomial SDs
+        assert n > 10 and cfg.training.batch_size <= 10
+        for row in result.history:
+            assert abs(row["valid_top10"] - chance) <= bound, (row, chance, bound)
 
 
 class TestConfig:
