@@ -141,14 +141,7 @@ def cmd_train(args) -> int:
 
 
 def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
-    data_cfg = data_config_from(ckpt["config"])
     manifest = dataset_io.read_manifest(Path(dataset_root))
-    if abs(manifest.get("window_s", data_cfg.window_s) - data_cfg.window_s) > 1e-9:
-        raise CliError(
-            "config",
-            f"checkpoint was trained on {data_cfg.window_s}s windows but dataset "
-            f"{dataset_root} uses {manifest['window_s']}s; train a matching-window model",
-        )
     n_channels = ckpt["brain"].config.in_channels
     if manifest["channels"] != n_channels:
         raise CliError(
@@ -159,7 +152,7 @@ def _pipeline_for_checkpoint(ckpt: dict, dataset_root: str) -> DataPipeline:
     stored = ckpt["scalers"]
     rec_ids = set(dataset_io.recording_ids(Path(dataset_root)))
     scalers = stored if set(stored) == rec_ids else None
-    pipeline = DataPipeline(dataset_root, data_cfg, scalers=scalers,
+    pipeline = DataPipeline(dataset_root, data_config_from(ckpt["config"]), scalers=scalers,
                             feature_stats=ckpt["feature_stats"])
     if scalers is None:  # logged once the build has accepted the recordings
         logger.warning("dataset recordings differ from checkpoint; refitted scalers")

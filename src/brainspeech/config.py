@@ -25,8 +25,6 @@ class ConfigError(ValueError):
 @dataclass
 class DatasetSection:
     root: str = ""
-    window_s: float = 3.0
-    anchor_s: float = 0.5
     shift_s: float = 0.150
 
 
@@ -98,7 +96,6 @@ class Config:
             ("model.ablation", ablation == "none" or ablation in ABLATION_FLAGS,
              f"{ablation!r} not in {ABLATION_FLAGS}"),
             ("training.batch_size", tr.batch_size >= 2, "must be >= 2"),
-            ("dataset.window_s", self.dataset.window_s > 0, "must be > 0"),
             # baseline_correct averages the first round(baseline_s * rate) samples
             ("preprocessing.baseline_s", pre.baseline_s * WORKING_RATE > 0.5,
              f"must span at least one sample at {WORKING_RATE:g} Hz"),
@@ -106,6 +103,7 @@ class Config:
             ("training.lr", math.isfinite(tr.lr) and tr.lr > 0, "must be a finite number > 0"),
             ("training.updates_per_epoch", tr.updates_per_epoch >= 1, "must be >= 1"),
             ("training.max_epochs", tr.max_epochs >= 1, "must be >= 1"),
+            ("training.patience", tr.patience >= 1, "must be >= 1"),
             ("training.seed", tr.seed >= 0, "must be >= 0"),
             ("eval.topk", all(k >= 1 for k in ev.topk), "every entry must be >= 1"),
             ("eval.restricted_n", ev.restricted_n >= 2, "must be >= 2"),

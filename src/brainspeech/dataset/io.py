@@ -92,10 +92,12 @@ def write_manifest(root: Path, manifest: dict) -> None:
 def read_manifest(root: Path) -> dict:
     """The manifest: ``subjects`` a non-empty list of distinct non-empty
     strings, ``channels`` and ``audio_rate`` positive integers, and
-    ``recording_rate`` (and ``window_s`` and ``anchor_s`` if present)
-    positive numbers."""
+    ``recording_rate``, ``window_s`` and ``anchor_s`` positive numbers with
+    ``anchor_s`` below ``window_s``. ``window_s``, the length of every
+    window, and ``anchor_s``, the offset of its anchor word, default to 3.0
+    and 0.5 seconds."""
     path = Path(root) / "manifest.json"
-    manifest = load_json_object(path, MANIFEST_KEYS)
+    manifest = {"window_s": 3.0, "anchor_s": 0.5, **load_json_object(path, MANIFEST_KEYS)}
     subjects = manifest["subjects"]
     if not (isinstance(subjects, list) and subjects
             and all(isinstance(s, str) and s for s in subjects)
@@ -104,17 +106,22 @@ def read_manifest(root: Path) -> dict:
             f"{path}: subjects {subjects!r} is not a list of distinct non-empty strings")
     for key, kinds in (("channels", int), ("audio_rate", int), ("recording_rate", NUMBER),
                        ("window_s", NUMBER), ("anchor_s", NUMBER)):
-        _positive(path, key, manifest.get(key, 1), kinds)  # window_s and anchor_s are optional
+        _number(path, key, manifest[key], kinds)
+    if manifest["anchor_s"] >= manifest["window_s"]:
+        raise DatasetFormatError(f"{path}: anchor_s {manifest['anchor_s']!r} is not below "
+                                 f"window_s {manifest['window_s']!r}")
     return manifest
 
 
-def _positive(path: Path, key: str, value, kinds=int):
-    """``value`` if it is a positive finite ``kinds`` (an int, or with
-    ``NUMBER`` an int or float; never a bool), else a
+def _number(path: Path, key: str, value, kinds=int, zero: bool = False):
+    """``value`` if it is a finite ``kinds`` (an int, or with ``NUMBER`` an
+    int or float; never a bool) above 0, or with ``zero`` at least 0, else a
     :class:`DatasetFormatError` naming ``path``."""
-    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < np.inf:
-        noun = "a positive integer" if kinds is int else "a positive number"
-        raise DatasetFormatError(f"{path}: {key} {value!r} is not {noun}")
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (0 <= value if zero else 0 < value) or not value < np.inf):
+        sign = "non-negative" if zero else "positive"
+        noun = "integer" if kinds is int else "number"
+        raise DatasetFormatError(f"{path}: {key} {value!r} is not a {sign} {noun}")
     return value
 
 
@@ -154,13 +161,13 @@ def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
     path = rec_dir / f"{recording_id}.json"
     meta = load_json_object(path, ("channels", "samples", "sample_rate", "channel_names",
                                    "positions"))
-    channels = _positive(path, "channels", meta["channels"])
+    channels = _number(path, "channels", meta["channels"])
     if channels != manifest["channels"]:
         raise DatasetFormatError(
             f"{path}: {channels} channels, manifest says {manifest['channels']}")
     signal = _read_matrix(rec_dir / f"{recording_id}.bin", channels,
-                          _positive(path, "samples", meta["samples"]))
-    sample_rate = float(_positive(path, "sample_rate", meta["sample_rate"], NUMBER))
+                          _number(path, "samples", meta["samples"]))
+    sample_rate = float(_number(path, "sample_rate", meta["sample_rate"], NUMBER))
     try:
         return Recording(
             recording_id=recording_id,
@@ -255,9 +262,9 @@ def read_feature_file(root: Path, segment_id: int) -> Tuple[np.ndarray, float]:
     path = ft_dir / f"{segment_id}.json"
     meta = load_json_object(path, ("features", "samples", "feature_rate"))
     arr = _read_matrix(ft_dir / f"{segment_id}.bin",
-                       _positive(path, "features", meta["features"]),
-                       _positive(path, "samples", meta["samples"]))
-    return arr, float(_positive(path, "feature_rate", meta["feature_rate"], NUMBER))
+                       _number(path, "features", meta["features"]),
+                       _number(path, "samples", meta["samples"]))
+    return arr, float(_number(path, "feature_rate", meta["feature_rate"], NUMBER))
 
 
 def write_splits(root: Path, splits: SplitAssignment) -> None:
@@ -273,17 +280,24 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 
 
 def read_splits(root: Path) -> SplitAssignment:
+    """The split of each segment id (a JSON object key, so a string holding
+    an integer); ``ratios`` three finite non-negative numbers, and ``seed``
+    and each ``excluded`` segment id non-negative integers."""
     path = Path(root) / "splits.json"
     obj = load_json_object(path, ("assignment", "ratios", "seed"))
     assignment = {_as_int(path, "segment id", k): v for k, v in obj["assignment"].items()}
     for sid, split in assignment.items():
         if split not in SPLITS:
             raise DatasetFormatError(f"{path}: segment {sid} has unknown split {split!r}")
+    ratios = obj["ratios"]
+    if not (isinstance(ratios, list) and len(ratios) == 3):
+        raise DatasetFormatError(f"{path}: ratios {ratios!r} is not a list of three numbers")
     return SplitAssignment(
         assignment=assignment,
-        ratios=tuple(obj["ratios"]),
-        seed=_as_int(path, "seed", obj["seed"]),
-        excluded=[_as_int(path, "excluded segment id", x) for x in obj.get("excluded", [])],
+        ratios=tuple(_number(path, "ratio", r, NUMBER, zero=True) for r in ratios),
+        seed=_number(path, "seed", obj["seed"], zero=True),
+        excluded=[_number(path, "excluded segment id", x, zero=True)
+                  for x in obj.get("excluded", [])],
     )
 
 
@@ -304,19 +318,19 @@ def recording_ids(root: Path) -> List[str]:
     return ids
 
 
-def load_segments(root: Path, manifest: dict, splits: SplitAssignment
+def load_segments(root: Path, manifest: dict
                   ) -> Tuple[Dict[int, SpeechSegment], Dict[str, Dict[int, float]]]:
     """Reconstruct segment records from the events, and each recording's
     earliest word onset per segment it presents.
 
     A segment's words are gathered from any one recording presenting it
     (presentations are identical by construction); its start within the
-    recording is the earliest word onset minus the anchor offset. The
-    onsets are keyed by recording id, for every recording.
+    recording is the earliest word onset minus the manifest's ``anchor_s``,
+    and its duration the manifest's ``window_s``. The onsets are keyed by
+    recording id, for every recording.
     """
     root = Path(root)
-    anchor = manifest.get("anchor_s", 0.5)
-    duration = manifest.get("window_s", 3.0)
+    anchor = manifest["anchor_s"]
     segments: Dict[int, SpeechSegment] = {}
     first_onsets: Dict[str, Dict[int, float]] = {}
     for rec_id in recording_ids(root):
@@ -331,12 +345,6 @@ def load_segments(root: Path, manifest: dict, splits: SplitAssignment
             # first presentation seen defines the source-time span
             start = onsets[sid] - anchor
             words = [WordEvent(onset=o - start, duration=d, word=w) for o, d, w in sorted(rows)]
-            segments[sid] = SpeechSegment(
-                segment_id=sid,
-                duration=duration,
-                source_start=start,
-                audio_path=f"audio/{sid}.wav",
-                words=words,
-                split=splits.split_of(sid),
-            )
+            segments[sid] = SpeechSegment(segment_id=sid, duration=manifest["window_s"],
+                                          source_start=start, words=words)
     return segments, first_onsets

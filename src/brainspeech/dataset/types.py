@@ -54,14 +54,12 @@ class Recording:
 
 @dataclass
 class SpeechSegment:
-    """A unique 3 s speech window: audio reference, word annotations, split."""
+    """A unique speech window and its word annotations."""
 
     segment_id: int
     duration: float = 3.0
     source_start: float = 0.0  # absolute time in the stimulus source
-    audio_path: Optional[str] = None
     words: List[WordEvent] = field(default_factory=list)
-    split: Optional[str] = None
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -92,8 +90,6 @@ class Sample:
     subject_id: int
     segment_id: int
     brain_start: int  # sample index into the recording at the working rate
-    speech_start: int  # same timeline, before the stimulus/response shift
-    window_samples: int
 
 
 @dataclass

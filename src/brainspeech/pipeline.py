@@ -19,7 +19,7 @@ import numpy as np
 from . import preprocessing
 from .dataset import io as dataset_io
 from .dataset.types import SPLITS, Recording, Sample
-from .dataset.windows import WORKING_RATE, try_extract_sample
+from .dataset.windows import WORKING_RATE, window_start
 from .speech import (
     MEL_HOP,
     REPRESENTATIONS,
@@ -63,15 +63,17 @@ class PreparedSplit:
 class DataConfig:
     representation: str = "external"  # mel | deep-mel | external
     n_mels: int = 40
-    window_s: float = 3.0
-    anchor_s: float = 0.5
     shift_s: float = 0.150
     baseline_s: float = 0.5
     clamp: Optional[float] = 20.0
 
 
 class DataPipeline:
-    """Loads one dataset root and serves preprocessed windows and targets."""
+    """Loads one dataset root and serves preprocessed windows and targets.
+
+    Every window is the manifest's ``window_s`` long and starts
+    ``anchor_s`` before its segment's first word onset.
+    """
 
     def __init__(self, root, config: DataConfig,
                  scalers: Optional[Dict[str, preprocessing.ScalerParams]] = None,
@@ -83,11 +85,11 @@ class DataPipeline:
         self.guard = SplitAccessGuard()
         self.manifest = dataset_io.read_manifest(self.root)
         self.splits = dataset_io.read_splits(self.root)
-        self.segments, first_onsets = dataset_io.load_segments(
-            self.root, self.manifest, self.splits
-        )
+        self.segments, first_onsets = dataset_io.load_segments(self.root, self.manifest)
         self.subjects: List[str] = list(self.manifest["subjects"])
-        self.window_samples = int(round(config.window_s * WORKING_RATE))
+        self.window_s = float(self.manifest["window_s"])
+        self.anchor_s = float(self.manifest["anchor_s"])
+        self.window_samples = int(round(self.window_s * WORKING_RATE))
 
         self.recordings: Dict[str, Recording] = {}
         self.positions: Optional[np.ndarray] = None
@@ -129,22 +131,17 @@ class DataPipeline:
                 split = self.splits.split_of(sid)
                 if split is None:
                     continue
-                sample = try_extract_sample(
-                    rec,
-                    self.segments[sid],
-                    word_onset=per_segment[sid],
-                    shift=self.config.shift_s,
-                    pre_onset=self.config.anchor_s,
-                    duration=self.config.window_s,
-                )
-                if sample is not None:
-                    self._samples[split].append(sample)
+                start = window_start(rec, sid, per_segment[sid], self.anchor_s,
+                                     self.config.shift_s, self.window_samples)
+                if start is not None:
+                    self._samples[split].append(
+                        Sample(rec_id, rec.subject_id, sid, start))
 
     def _fit_scalers(self) -> Dict[str, preprocessing.ScalerParams]:
         scalers = {}
         for rec_id, rec in self.recordings.items():
             slices = [
-                rec.signal[:, s.brain_start : s.brain_start + s.window_samples]
+                rec.signal[:, s.brain_start : s.brain_start + self.window_samples]
                 for s in self._samples["train"]
                 if s.recording_id == rec_id
             ]
@@ -162,7 +159,7 @@ class DataPipeline:
         """Log-Mel of a segment's audio on the working-rate window grid."""
         audio, rate = dataset_io.read_audio(self.root, sid, self.manifest["audio_rate"])
         mel = log_compress(mel_spectrogram(audio, n_mels=self.config.n_mels, sr=rate))
-        return align_feature_rate(mel, rate / MEL_HOP, self.config.window_s, WORKING_RATE)
+        return align_feature_rate(mel, rate / MEL_HOP, self.window_s, WORKING_RATE)
 
     def _raw_target(self, sid: int) -> np.ndarray:
         """A segment's unnormalized target, computed on first use and
@@ -173,7 +170,7 @@ class DataPipeline:
                 raw = self.segment_mel(sid)
             else:
                 arr, rate = dataset_io.read_feature_file(self.root, sid)
-                raw = align_feature_rate(arr, rate, self.config.window_s, WORKING_RATE)
+                raw = align_feature_rate(arr, rate, self.window_s, WORKING_RATE)
             self._raw_targets[sid] = raw
         return self._raw_targets[sid]
 
@@ -201,7 +198,7 @@ class DataPipeline:
         x = np.empty((len(samples), self.n_channels, self.window_samples), dtype=np.float32)
         for i, s in enumerate(samples):
             raw = self.recordings[s.recording_id].signal[
-                :, s.brain_start : s.brain_start + s.window_samples
+                :, s.brain_start : s.brain_start + self.window_samples
             ]
             x[i] = preprocessing.preprocess_window(
                 raw,
@@ -235,9 +232,9 @@ class DataPipeline:
         return self.segment_mel(sid)
 
     def anchor_word(self, sid: int) -> str:
-        w = self.segments[sid].anchor_word(self.config.anchor_s)
+        w = self.segments[sid].anchor_word(self.anchor_s)
         if w is None:
-            raise ValueError(f"segment {sid} lacks a word at +{self.config.anchor_s}s")
+            raise ValueError(f"segment {sid} lacks a word at +{self.anchor_s}s")
         return w.word
 
     def train_vocabulary(self) -> Set[str]:

@@ -91,8 +91,6 @@ def data_config_from(config: Config) -> DataConfig:
     return DataConfig(
         representation=config.speech.representation,
         n_mels=config.speech.n_mels,
-        window_s=config.dataset.window_s,
-        anchor_s=config.dataset.anchor_s,
         shift_s=config.dataset.shift_s,
         baseline_s=config.preprocessing.baseline_s,
         clamp=config.preprocessing.clamp,

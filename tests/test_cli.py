@@ -186,6 +186,12 @@ def _non_integer_segment_id(root):
     return _edit_json(root / "splits.json", lambda s: s["assignment"].update({"x": "train"}))
 
 
+def _splits_value(key, value):
+    def corrupt(root):
+        return _edit_json(root / "splits.json", lambda s: s.update({key: value}))
+    return corrupt
+
+
 def _recording_without_channels(root):
     return _edit_json(root / "recordings" / "s00_r00.json", lambda m: m.pop("channels"))
 
@@ -256,8 +262,8 @@ class TestErrorPaths:
         assert "category=config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
-        "dataset.window_s=0", "dataset.window_s=-1", "preprocessing.baseline_s=-1",
-        "training.lr=-1", "training.updates_per_epoch=0", "training.max_epochs=0",
+        "preprocessing.baseline_s=-1", "training.lr=-1", "training.updates_per_epoch=0",
+        "training.max_epochs=0", "training.patience=0",
         "eval.topk=0,10", "training.seed=-1", "eval.restricted_seed=-1", "eval.restricted_n=1",
         "preprocessing.clamp=-5", "preprocessing.clamp=0",
     ])
@@ -268,6 +274,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error category=config: {key}: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("key", ["dataset.window_s", "dataset.anchor_s"])
+    @pytest.mark.parametrize("where", ["set", "file"])
+    def test_window_keys_rejected(self, workspace, tmp_path, capsys, key, where):
+        """The manifest alone sets the window: the run config has no such key."""
+        section, name = key.split(".")
+        cfg = tmp_path / "train.cfg"
+        extra = []
+        if where == "set":
+            shutil.copy(workspace / "train.cfg", cfg)
+            extra = ["--set", f"{key}=2.0"]
+        else:
+            cfg.write_text((workspace / "train.cfg").read_text()
+                           .replace(f"[{section}]\n", f"[{section}]\n{name} = 2.0\n"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                     *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error category=config: unknown config key {key}"]
         assert not (tmp_path / "r").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -308,7 +333,9 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert str(bad / "report.json") in err
 
-    def test_window_mismatch_reported(self, workspace, tmp_path, capsys):
+    def test_eval_runs_on_the_dataset_window(self, workspace, tmp_path, capsys):
+        """A model trained on 3 s windows evaluates 0.8 s isolated-word data on
+        that dataset's own windows: no parameter depends on the length."""
         iso = tmp_path / "iso.cfg"
         iso.write_text(
             "[synth]\nsubjects = 1\nsegments = 12\nchannels = 8\nfeatures = 6\n"
@@ -317,10 +344,15 @@ class TestErrorPaths:
         )
         assert main(["synth", "--spec", str(iso), "--out", str(tmp_path / "isodata")]) == 0
         assert main(["eval", "--checkpoint", str(workspace / "run" / "best"),
-                     "--dataset", str(tmp_path / "isodata"),
-                     "--out", str(tmp_path / "e")]) == 1
-        err = capsys.readouterr().err
-        assert "matching-window" in err
+                     "--dataset", str(tmp_path / "isodata"), "--no-recon",
+                     "--out", str(tmp_path / "e")]) == 0
+        assert "error" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "e" / "report.json").read_text())
+        n_test = len(dataset_io.read_splits(tmp_path / "isodata").ids_in("test"))
+        assert report["n_trials"] == report["n_candidates"] == n_test
+        pipeline = _pipeline_for_checkpoint(load_checkpoint(workspace / "run" / "best"),
+                                            str(tmp_path / "isodata"))
+        assert pipeline.materialize("test").x.shape[2] == round(0.8 * 120)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_recording_rejected(self, workspace, tmp_path, capsys, value):
@@ -355,6 +387,7 @@ class TestErrorPaths:
         (_manifest_value("recording_rate", 0), ("ingest", "train", "eval"), "external"),
         (_manifest_value("window_s", "3.0"), ("ingest", "train", "eval"), "external"),
         (_manifest_value("anchor_s", -0.5), ("ingest", "train", "eval"), "external"),
+        (_manifest_value("anchor_s", 3.5), ("ingest", "train", "eval"), "external"),
         (_dev_split, ("ingest", "train", "eval"), "external"),
         (_unknown_subject, ("ingest", "train", "eval"), "external"),
         (_recording_without_channels, ("ingest", "train", "eval"), "external"),
@@ -383,6 +416,9 @@ class TestErrorPaths:
          "external"),
         (_splits_without_assignment, ("ingest", "train", "eval"), "external"),
         (_non_integer_segment_id, ("ingest", "train", "eval"), "external"),
+        (_splits_value("seed", 1.5), ("ingest", "train", "eval"), "external"),
+        (_splits_value("ratios", "abc"), ("ingest", "train", "eval"), "external"),
+        (_splits_value("excluded", [2.7]), ("ingest", "train", "eval"), "external"),
         (_three_field_event, ("ingest", "train", "eval"), "external"),
         # eval's checkpoint channel check fires first
         (_manifest_channels, ("ingest", "train"), "external"),
@@ -390,13 +426,15 @@ class TestErrorPaths:
     ], ids=["manifest-subjects", "manifest-name", "manifest-subjects-string",
             "manifest-subjects-repeated", "manifest-channels-string", "manifest-channels-bool",
             "manifest-audio-rate-float", "manifest-recording-rate-zero",
-            "manifest-window-string", "manifest-anchor-negative", "dev-split", "unknown-subject",
+            "manifest-window-string", "manifest-anchor-negative", "manifest-anchor-outside",
+            "dev-split", "unknown-subject",
             "recording-channels", "feature-rate", "recording-samples-null",
             "recording-rate-null", "feature-samples-null", "feature-rate-null",
             "recording-channels-string", "recording-channels-float",
             "recording-samples-float", "recording-rate-string", "recording-rate-zero",
             "feature-count-float", "feature-samples-float", "feature-rate-bool",
-            "splits-assignment", "splits-id",
+            "splits-assignment", "splits-id", "splits-seed-float", "splits-ratios-string",
+            "splits-excluded-float",
             "event-fields",
             "manifest-channels", "wav-8khz"])
     def test_malformed_root_rejected(self, workspace, tmp_path, capsys, caplog, corrupt,
@@ -644,6 +682,17 @@ class TestCheckpointValidation:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "e").exists()
 
+    def test_eval_rejects_a_stored_window_key(self, workspace, tmp_path, capsys):
+        """Checkpoints saved while the run config held the window are retrained."""
+        ckpt = tmp_path / "best"
+        shutil.copytree(workspace / "run" / "best", ckpt)
+        _edit_manifest(ckpt, lambda m: m["config"]["dataset"].update(window_s=3.0))
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                     str(workspace / "data"), "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error category=config: manifest.json: unknown config key dataset.window_s"]
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": "\xff"}'],
                              ids=["array", "not-utf8"])
     def test_eval_rejects_malformed_manifest(self, workspace, tmp_path, capsys, content):
@@ -755,8 +804,6 @@ def test_checkpoint_config_maps_to_the_training_pipeline(tmp_path):
                  "--out", str(tmp_path / "data")]) == 0
     config = Config()
     config.dataset.root = str(tmp_path / "data")
-    config.dataset.window_s = 2.0
-    config.dataset.anchor_s = 0.4
     config.dataset.shift_s = 0.1
     config.preprocessing.baseline_s = 0.3
     config.preprocessing.clamp = 10.0
@@ -775,6 +822,7 @@ def test_checkpoint_config_maps_to_the_training_pipeline(tmp_path):
     pipeline = _pipeline_for_checkpoint(load_checkpoint(result.checkpoint_dir),
                                         config.dataset.root)
     assert pipeline.config == want
+    assert (pipeline.window_s, pipeline.anchor_s) == (2.0, 0.4)  # from the manifest
 
 
 class TestReconstructionMel:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +10,13 @@ from brainspeech.dataset import (
     Recording,
     SpeechSegment,
     SynthSpec,
-    WindowOutOfBounds,
     WordEvent,
     build_splits,
-    extract_sample,
     generate_synthetic,
     io,
     normalize_token,
     segment_onset,
-    try_extract_sample,
+    window_start,
 )
 
 
@@ -113,65 +112,50 @@ class TestWordOverlap:
         assert normalize_token("Don't") == "don't"
 
 
-class TestExtractSample:
-    def make_recording(self, t=4000):
-        return Recording(
+class TestWindowStart:
+    """Brain-window starts at 120 Hz: the speech window starts ``anchor_s``
+    before the onset and the brain window ``shift_s`` after that, each
+    rounded to a sample on its own."""
+
+    def start(self, onset, shift=0.150, samples=4000):
+        rec = Recording(
             recording_id="s00_r00",
             subject_id=0,
             channel_names=["c0", "c1"],
             positions=np.array([[0.2, 0.3], [0.7, 0.8]]),
-            signal=np.zeros((2, t), dtype=np.float32),
+            signal=np.zeros((2, samples), dtype=np.float32),
             sample_rate=120.0,
         )
+        return window_start(rec, 7, onset, anchor_s=0.5, shift_s=shift, window_samples=360)
 
     def test_window_arithmetic(self):
-        rec = self.make_recording()
-        seg = SpeechSegment(segment_id=0, source_start=9.5,
-                            words=[WordEvent(0.5, 0.25, "w")])
-        s = extract_sample(rec, seg, word_onset=10.0)
-        assert s.speech_start == 1140
-        assert s.brain_start == 1158
-        assert s.window_samples == 360
+        assert self.start(10.0) == 1158
 
     def test_zero_shift_identity(self):
-        rec = self.make_recording()
-        seg = SpeechSegment(segment_id=0, source_start=9.5,
-                            words=[WordEvent(0.5, 0.25, "w")])
-        s = extract_sample(rec, seg, word_onset=10.0, shift=0.0)
-        assert s.brain_start == s.speech_start
+        assert self.start(10.0, shift=0.0) == 1140  # the speech window's start
 
     def test_300ms_shift(self):
-        rec = self.make_recording()
-        seg = SpeechSegment(segment_id=0, source_start=9.5,
-                            words=[WordEvent(0.5, 0.25, "w")])
-        s = extract_sample(rec, seg, word_onset=10.0, shift=0.300)
-        assert s.brain_start - s.speech_start == 36
+        assert self.start(10.0, shift=0.300) - self.start(10.0, shift=0.0) == 36
 
     def test_shift_offset_exact_for_any_onset(self):
-        rec = self.make_recording()
-        seg = SpeechSegment(segment_id=0, source_start=0.0,
-                            words=[WordEvent(0.5, 0.25, "w")])
         rng = np.random.default_rng(0)
         for onset in rng.uniform(1.0, 20.0, size=50):
-            s = extract_sample(rec, seg, word_onset=float(onset))
-            assert s.brain_start - s.speech_start == round(0.150 * 120)
+            assert self.start(float(onset)) - self.start(float(onset), shift=0.0) == 18
 
-    def test_out_of_bounds_raises_and_skips(self):
-        rec = self.make_recording(t=400)
-        seg = SpeechSegment(segment_id=0, source_start=0.0,
-                            words=[WordEvent(0.5, 0.25, "w")])
-        with pytest.raises(WindowOutOfBounds):
-            extract_sample(rec, seg, word_onset=3.0)
-        assert try_extract_sample(rec, seg, word_onset=3.0) is None
-
-    def test_wrong_rate_rejected(self):
-        rec = self.make_recording()
-        rec = Recording(rec.recording_id, rec.subject_id, rec.channel_names,
-                        rec.positions, rec.signal, sample_rate=250.0)
-        seg = SpeechSegment(segment_id=0, source_start=0.0,
-                            words=[WordEvent(0.5, 0.25, "w")])
-        with pytest.raises(ValueError, match="120"):
-            extract_sample(rec, seg, word_onset=10.0)
+    def test_skips_at_each_edge(self, caplog):
+        caplog.set_level(logging.INFO)
+        # the speech window starts before the recording, the brain window not
+        assert self.start(0.5 - 1 / 120) is None
+        assert self.start(0.5) == 18
+        # the brain window starts before the recording, the speech window not
+        assert self.start(0.5, shift=-1 / 120) is None
+        assert self.start(0.5 + 1 / 120, shift=-1 / 120) == 0
+        # the brain window ends after the recording
+        assert self.start(0.5 + 23 / 120, samples=400) is None
+        assert self.start(0.5 + 22 / 120, samples=400) == 400 - 360
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping sample: s00_r00: window for segment 7 at {onset:.3f}s falls "
+            "outside the recording" for onset in (0.5 - 1 / 120, 0.5, 0.5 + 23 / 120)]
 
 
 def dataset_digest(root: Path) -> str:
@@ -228,10 +212,11 @@ class TestSyntheticGeneration:
         manifest = io.read_manifest(tmp_path)
         assert manifest["channels"] == 6
         assert len(io.recording_ids(tmp_path)) == 2
-        segments, _ = io.load_segments(tmp_path, manifest, io.read_splits(tmp_path))
+        segments, _ = io.load_segments(tmp_path, manifest)
+        splits = io.read_splits(tmp_path)
         assert len(segments) == spec.segments
         for seg in segments.values():
-            assert seg.split in ("train", "valid", "test")
+            assert splits.split_of(seg.segment_id) in ("train", "valid", "test")
             assert seg.anchor_word(0.5) is not None
         audio, rate = io.read_audio(tmp_path, 0, manifest["audio_rate"])
         assert rate == 16000
@@ -240,16 +225,14 @@ class TestSyntheticGeneration:
     def test_heldout_vocab_only_in_test_anchors(self, tmp_path):
         spec = self.small_spec(segments=40, vocab_size=20, heldout_vocab_frac=0.4)
         generate_synthetic(spec, tmp_path)
-        segments, _ = io.load_segments(tmp_path, io.read_manifest(tmp_path),
-                                       io.read_splits(tmp_path))
+        segments, _ = io.load_segments(tmp_path, io.read_manifest(tmp_path))
+        test_ids = set(io.read_splits(tmp_path).ids_in("test"))
         held = {f"w{i:03d}" for i in range(12, 20)}
         train_words = {
-            w.word for s in segments.values() if s.split != "test" for w in s.words
+            w.word for sid, s in segments.items() if sid not in test_ids for w in s.words
         }
         assert not train_words & held
-        test_anchors = {
-            s.anchor_word(0.5).word for s in segments.values() if s.split == "test"
-        }
+        test_anchors = {segments[sid].anchor_word(0.5).word for sid in test_ids}
         assert test_anchors & held  # some zero-shot anchors exist
 
     def test_outlier_injection(self, tmp_path):
@@ -293,17 +276,48 @@ class TestInterchangeValidation:
     @pytest.mark.parametrize("key, value, what", [
         ("seed", "two", "seed 'two'"),
         ("seed", None, "seed None"),
+        ("seed", 1.5, "seed 1.5"),
+        ("seed", True, "seed True"),
+        ("seed", -1, "seed -1"),
         ("excluded", ["y"], "excluded segment id 'y'"),
+        ("excluded", [2.7], "excluded segment id 2.7"),
+        ("excluded", [True], "excluded segment id True"),
     ])
     def test_splits_non_integer_named(self, tmp_path, key, value, what):
-        io.write_splits(tmp_path, build_splits(make_segments(9), seed=2))
-        path = tmp_path / "splits.json"
+        path = self._splits_with(tmp_path, key, value)
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_splits(tmp_path)
+        assert str(err.value) == f"{path}: {what} is not a non-negative integer"
+
+    @pytest.mark.parametrize("value, what", [
+        ("abc", "ratios 'abc' is not a list of three numbers"),
+        ([0.7, 0.3], "ratios [0.7, 0.3] is not a list of three numbers"),
+        ([0.7, 0.2, "0.1"], "ratio '0.1' is not a non-negative number"),
+        ([0.7, 0.2, False], "ratio False is not a non-negative number"),
+        ([0.7, 0.4, -0.1], "ratio -0.1 is not a non-negative number"),
+        ([0.7, 0.2, float("nan")], "ratio nan is not a non-negative number"),
+    ])
+    def test_splits_ratios_checked(self, tmp_path, value, what):
+        path = self._splits_with(tmp_path, "ratios", value)
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_splits(tmp_path)
+        assert str(err.value) == f"{path}: {what}"
+
+    def test_splits_zero_seed_and_ratio_read(self, tmp_path):
+        self._splits_with(tmp_path, "ratios", [1, 0, 0.0])
+        splits = io.read_splits(tmp_path)
+        assert splits.ratios == (1, 0, 0.0)
+        assert splits.seed == 2
+
+    @staticmethod
+    def _splits_with(root, key, value):
+        """A written ``splits.json`` whose ``key`` is set to ``value``."""
+        io.write_splits(root, build_splits(make_segments(9), seed=2))
+        path = root / "splits.json"
         obj = json.loads(path.read_text())
         obj[key] = value
         path.write_text(json.dumps(obj))
-        with pytest.raises(io.DatasetFormatError) as err:
-            io.read_splits(tmp_path)
-        assert str(err.value) == f"{path}: {what} is not an integer"
+        return path
 
 
 @pytest.mark.parametrize("key, value, what", [
@@ -316,6 +330,7 @@ class TestInterchangeValidation:
     ("recording_rate", False, "recording_rate False is not a positive number"),
     ("window_s", float("inf"), "window_s inf is not a positive number"),
     ("anchor_s", float("nan"), "anchor_s nan is not a positive number"),
+    ("anchor_s", 3, "anchor_s 3 is not below window_s 3"),
 ])
 def test_manifest_value_types_named(tmp_path, key, value, what):
     manifest = {"name": "x", "recording_rate": 120.0, "audio_rate": 16000, "channels": 8,
@@ -327,6 +342,13 @@ def test_manifest_value_types_named(tmp_path, key, value, what):
     with pytest.raises(io.DatasetFormatError) as err:
         io.read_manifest(tmp_path)
     assert str(err.value) == f"{tmp_path / 'manifest.json'}: {what}"
+
+
+def test_manifest_window_defaults(tmp_path):
+    io.write_manifest(tmp_path, {"name": "x", "recording_rate": 120.0, "audio_rate": 16000,
+                                 "channels": 8, "subjects": ["s00"]})
+    manifest = io.read_manifest(tmp_path)
+    assert (manifest["window_s"], manifest["anchor_s"]) == (3.0, 0.5)
 
 
 @pytest.mark.parametrize("folder, key, value, what", [

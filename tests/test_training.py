@@ -167,19 +167,31 @@ class TestTrain:
         result = train(cfg, tmp_path / "run")
         assert np.isfinite(result.best_valid_loss)
 
-    def test_materialize_serves_the_split_targets(self, tiny_dataset):
+    @pytest.mark.parametrize("window_s, anchor_s", [(3.0, 0.5), (2.0, 0.4)])
+    def test_materialize_serves_the_split_targets(self, tiny_dataset, tmp_path, window_s,
+                                                  anchor_s):
+        """Windows and targets span the manifest's window at its anchor."""
         from brainspeech.dataset import io as dataset_io
         from brainspeech.speech import align_feature_rate
 
-        pipeline = DataPipeline(tiny_dataset, DataConfig(representation="external"))
+        root = tiny_dataset
+        if window_s != 3.0:
+            root = tmp_path / "short"
+            generate_synthetic(SynthSpec(subjects=2, segments=40, channels=8, features=6,
+                                         noise_std=0.0, seed=21, vocab_size=12,
+                                         duration=window_s, anchor_offset=anchor_s), root)
+        pipeline = DataPipeline(root, DataConfig(representation="external"))
+        assert (pipeline.window_s, pipeline.anchor_s) == (window_s, anchor_s)
         for split in ("train", "valid", "test"):
             data = pipeline.materialize(split)
+            assert data.x.shape[2] == round(window_s * 120)
             assert data.candidate_ids == pipeline.splits.ids_in(split)
             assert data.candidates.dtype == np.float32
             assert data.candidates.shape[0] == len(data.candidate_ids)
             for sid, target in zip(data.candidate_ids, data.candidates):
-                arr, rate = dataset_io.read_feature_file(tiny_dataset, sid)
-                raw = align_feature_rate(arr, rate, pipeline.config.window_s)
+                arr, rate = dataset_io.read_feature_file(root, sid)
+                assert arr.shape[1] == round(window_s * rate)
+                raw = align_feature_rate(arr, rate, window_s)
                 want = pipeline.feature_stats.apply(raw).astype(np.float32)
                 assert target.tobytes() == want.tobytes()
             served = [data.candidate_ids[j] for j in data.target_index]
@@ -280,7 +292,7 @@ class TestConfig:
             load_config(None, ["training.objective=regression",
                                "speech.representation=external"])
 
-    @pytest.mark.parametrize("override", ["training.lr=abc", "dataset.window_s=3s",
+    @pytest.mark.parametrize("override", ["training.lr=abc", "dataset.shift_s=3s",
                                           "training.lr=none", "training.batch_size=none"])
     def test_unparsable_value_rejected(self, override):
         key, raw = override.split("=")
