@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 import wave
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -29,6 +31,7 @@ from .types import SPLITS, Recording, SpeechSegment, SplitAssignment, WordEvent
 EVENTS_HEADER = ["onset_s", "duration_s", "word", "segment_id"]
 MANIFEST_KEYS = ("name", "recording_rate", "audio_rate", "channels", "subjects")
 NUMBER = (int, float)  # the JSON types of a number that need not be an integer
+_SEGMENT_ID = re.compile(r"-?[0-9]+")  # as written in the events and splits.json
 
 
 class DatasetFormatError(ValueError):
@@ -204,11 +207,16 @@ def read_events(root: Path, recording_id: str) -> List[Tuple[float, float, str, 
         for line in reader:
             try:
                 onset, duration, word, segment_id = line
-                rows.append((float(onset), float(duration), word, int(segment_id)))
+                row = (float(onset), float(duration), word, _segment_id(segment_id))
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}: line {reader.line_num}: expected "
                     f"{','.join(EVENTS_HEADER)}, got {','.join(line)!r}") from None
+            if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+                raise DatasetFormatError(
+                    f"{path}: line {reader.line_num}: onset {onset!r} and duration "
+                    f"{duration!r} must be finite")
+            rows.append(row)
     return rows
 
 
@@ -280,12 +288,21 @@ def write_splits(root: Path, splits: SplitAssignment) -> None:
 
 
 def read_splits(root: Path) -> SplitAssignment:
-    """The split of each segment id (a JSON object key, so a string holding
-    an integer); ``ratios`` three finite non-negative numbers, and ``seed``
-    and each ``excluded`` segment id non-negative integers."""
+    """The split of each segment id (a JSON object key: a string of decimal
+    digits, optionally after a minus sign, and no two keys the same id);
+    ``ratios`` three finite non-negative numbers, and ``seed`` and each
+    ``excluded`` segment id non-negative integers."""
     path = Path(root) / "splits.json"
     obj = load_json_object(path, ("assignment", "ratios", "seed"))
-    assignment = {_as_int(path, "segment id", k): v for k, v in obj["assignment"].items()}
+    assignment: Dict[int, str] = {}
+    for key, split in obj["assignment"].items():
+        try:
+            sid = _segment_id(key)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from None
+        if sid in assignment:
+            raise DatasetFormatError(f"{path}: segment id {key!r} repeats segment {sid}")
+        assignment[sid] = split
     for sid, split in assignment.items():
         if split not in SPLITS:
             raise DatasetFormatError(f"{path}: segment {sid} has unknown split {split!r}")
@@ -301,12 +318,12 @@ def read_splits(root: Path) -> SplitAssignment:
     )
 
 
-def _as_int(path: Path, what: str, value) -> int:
-    """``int(value)``, or a :class:`DatasetFormatError` naming ``path``."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DatasetFormatError(f"{path}: {what} {value!r} is not an integer") from None
+def _segment_id(text: str) -> int:
+    """``text`` as a segment id: decimal digits, optionally after a minus
+    sign (``int`` alone would also read ``"1_0"`` as 10 and ``" 9 "`` as 9)."""
+    if not _SEGMENT_ID.fullmatch(text):
+        raise ValueError(f"segment id {text!r} is not an integer")
+    return int(text)
 
 
 def recording_ids(root: Path) -> List[str]:

@@ -223,6 +223,13 @@ def batchnorm1d(
     output ``gamma * xhat + beta`` per half-row with the forward's own
     expression, so its gradients are bitwise those of ``gelu`` or ``relu``
     applied to the plain op's output, which is never kept.
+
+    Train mode takes ownership of ``x.data``: it overwrites it with the
+    normalised input ``xhat`` (same dtype, since ``mu`` is ``x``'s own mean),
+    so the graph keeps no copy of an input no backward reads. As
+    ``Tensor.accumulate`` asks of gradients, the caller hands it a buffer
+    that nothing else writes to or reads afterwards, such as a fresh conv
+    output. Eval mode leaves ``x`` as it is.
     """
     if x.ndim != 3:
         raise ValueError("batchnorm1d expects (B, C, T)")
@@ -245,14 +252,14 @@ def batchnorm1d(
             raise ValueError("batchnorm1d: train mode requires batch size >= 2")
         n = batch * t
         mu = x.data.mean(axis=(0, 2))
-        # xhat starts as the centred input: its square gives the variance
-        # exactly as ndarray.var sums it, then it is scaled in place.
-        xhat = np.empty_like(x.data, dtype=np.result_type(x.data, mu))
+        # xhat is x's own buffer, centred in place: its square gives the
+        # variance exactly as ndarray.var sums it, then it is scaled in place.
+        xhat = x.data
         out_data = np.empty_like(xhat)
         cdf = np.empty_like(xhat) if activation == "gelu" else None
 
         def centre(rows) -> None:
-            np.subtract(x.data[rows], mu[:, None], out=xhat[rows])
+            np.subtract(xhat[rows], mu[:, None], out=xhat[rows])
             np.square(xhat[rows], out=out_data[rows])
 
         twoway.split(batch, x.size, centre)
@@ -416,18 +423,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def glu(x: Tensor) -> Tensor:
-    """Gated linear unit over the channel axis; halves the channel count."""
+    """Gated linear unit over the channel axis; halves the channel count.
+
+    Takes ownership of ``x.data``: the gate's sigmoid overwrites the gate
+    half, which no backward reads afterwards. As ``Tensor.accumulate`` asks
+    of gradients, the caller hands it a buffer that nothing else writes to
+    or reads afterwards, such as a fresh conv output.
+    """
     channels = x.shape[1]
     if channels % 2:
         raise ValueError("glu requires an even channel count")
     half = channels // 2
     a = x.data[:, :half]
-    gate = x.data[:, half:]
-    sig = np.empty(gate.shape, dtype=gate.dtype)
+    sig = x.data[:, half:]  # the gate, until forward writes its sigmoid over it
     out_data = np.empty(a.shape, dtype=x.dtype)
 
     def forward(r) -> None:
-        np.divide(1.0, 1.0 + np.exp(-gate[r]), out=sig[r])
+        np.divide(1.0, 1.0 + np.exp(-sig[r]), out=sig[r])
         np.multiply(a[r], sig[r], out=out_data[r])
 
     twoway.split(x.shape[0], out_data.size, forward)

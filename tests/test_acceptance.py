@@ -42,7 +42,7 @@ from brainspeech.objective import clip_loss_batch, softmax_rows
 from brainspeech.preprocessing import resample
 from brainspeech.speech import mel_spectrogram
 
-from gradcheck import grad_check, inner_product_full, mean_all
+from gradcheck import grad_check, inner_product_full, mean_all, scale
 from test_brain_net import receptive_field_radius
 from test_speech_features import dft_mel_oracle
 
@@ -103,16 +103,19 @@ def test_criterion_2_gradient_suite():
     xb = Tensor(rng.normal(size=(3, 3, 6)))
     gam = Tensor(rng.normal(size=3) + 1.0)
     bet = Tensor(rng.normal(size=3))
+    # train-mode batchnorm1d and glu overwrite their input: scale by 1.0
+    # hands each a fresh copy
     errors["batchnorm1d"] = grad_check(
         lambda x_, g_, b_: mean_all(
-            gelu(batchnorm1d(x_, g_, b_, state, training=True, update_running=False))
+            gelu(batchnorm1d(scale(x_, 1.0), g_, b_, state, training=True,
+                             update_running=False))
         ),
         [xb, gam, bet],
     )
 
     for name, op in (("gelu", gelu), ("relu", relu), ("glu", glu)):
         xa = Tensor(rng.normal(size=(2, 4, 5)))
-        errors[name] = grad_check(lambda x_: mean_all(op(x_)), [xa])
+        errors[name] = grad_check(lambda x_: mean_all(op(scale(x_, 1.0))), [xa])
 
     xs = Tensor(rng.normal(size=(3, 6)))
     cs = rng.normal(size=(3, 6))

@@ -186,6 +186,10 @@ def _non_integer_segment_id(root):
     return _edit_json(root / "splits.json", lambda s: s["assignment"].update({"x": "train"}))
 
 
+def _underscored_segment_id(root):
+    return _edit_json(root / "splits.json", lambda s: s["assignment"].update({"1_0": "train"}))
+
+
 def _splits_value(key, value):
     def corrupt(root):
         return _edit_json(root / "splits.json", lambda s: s.update({key: value}))
@@ -223,6 +227,14 @@ def _three_field_event(root):
     path = root / "events" / "s00_r00.csv"
     lines = path.read_text().splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _nan_onset(root):
+    path = root / "events" / "s00_r00.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -416,10 +428,12 @@ class TestErrorPaths:
          "external"),
         (_splits_without_assignment, ("ingest", "train", "eval"), "external"),
         (_non_integer_segment_id, ("ingest", "train", "eval"), "external"),
+        (_underscored_segment_id, ("ingest", "train", "eval"), "external"),
         (_splits_value("seed", 1.5), ("ingest", "train", "eval"), "external"),
         (_splits_value("ratios", "abc"), ("ingest", "train", "eval"), "external"),
         (_splits_value("excluded", [2.7]), ("ingest", "train", "eval"), "external"),
         (_three_field_event, ("ingest", "train", "eval"), "external"),
+        (_nan_onset, ("ingest", "train", "eval"), "external"),
         # eval's checkpoint channel check fires first
         (_manifest_channels, ("ingest", "train"), "external"),
         (_wav_8khz, ("ingest", "train"), "mel"),
@@ -433,9 +447,9 @@ class TestErrorPaths:
             "recording-channels-string", "recording-channels-float",
             "recording-samples-float", "recording-rate-string", "recording-rate-zero",
             "feature-count-float", "feature-samples-float", "feature-rate-bool",
-            "splits-assignment", "splits-id", "splits-seed-float", "splits-ratios-string",
-            "splits-excluded-float",
-            "event-fields",
+            "splits-assignment", "splits-id", "splits-id-underscore", "splits-seed-float",
+            "splits-ratios-string", "splits-excluded-float",
+            "event-fields", "event-onset-nan",
             "manifest-channels", "wav-8khz"])
     def test_malformed_root_rejected(self, workspace, tmp_path, capsys, caplog, corrupt,
                                      commands, representation):

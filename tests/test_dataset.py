@@ -266,6 +266,55 @@ class TestInterchangeValidation:
         with pytest.raises(io.DatasetFormatError, match="header"):
             io.read_events(tmp_path, "s00_r00")
 
+    @staticmethod
+    def _events_with(root, column, value):
+        """``s00_r00.csv`` with ``value`` in ``column`` of its second row; its fields."""
+        generate_synthetic(SynthSpec(subjects=1, segments=4, channels=3, features=2,
+                                     seed=0, vocab_size=4), root)
+        path = root / "events" / "s00_r00.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return path, fields
+
+    @pytest.mark.parametrize("column, value", [
+        (0, "nan"), (0, "inf"), (1, "-inf"), (1, "NaN")])
+    def test_events_non_finite_named(self, tmp_path, column, value):
+        path, fields = self._events_with(tmp_path, column, value)
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_events(tmp_path, "s00_r00")
+        onset, duration = fields[:2]
+        assert str(err.value) == (f"{path}: line 3: onset {onset!r} and duration "
+                                  f"{duration!r} must be finite")
+
+    @pytest.mark.parametrize("value", ["1_0", " 1", "+1"])
+    def test_events_segment_id_read_strictly(self, tmp_path, value):
+        path, fields = self._events_with(tmp_path, 3, value)
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_events(tmp_path, "s00_r00")
+        assert str(err.value) == (f"{path}: line 3: expected onset_s,duration_s,word,"
+                                  f"segment_id, got {','.join(fields)!r}")
+
+    @pytest.mark.parametrize("keys, what", [
+        (["1_0"], "segment id '1_0' is not an integer"),
+        ([" 9 "], "segment id ' 9 ' is not an integer"),
+        (["+3"], "segment id '+3' is not an integer"),
+        (["\u0663"], "segment id '\u0663' is not an integer"),
+        (["007"], "segment id '007' repeats segment 7"),
+        (["-0"], "segment id '-0' repeats segment 0"),
+    ])
+    def test_splits_keys_read_strictly(self, tmp_path, keys, what):
+        path = self._splits_with(tmp_path, "seed", 2)
+        obj = json.loads(path.read_text())
+        for key in keys:
+            obj["assignment"][key] = "train"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_splits(tmp_path)
+        assert str(err.value) == f"{path}: {what}"
+
     def test_splits_roundtrip(self, tmp_path):
         splits = build_splits(make_segments(9), seed=2)
         io.write_splits(tmp_path, splits)

@@ -9,13 +9,14 @@ bytes, with the two-way split forced on and off, while the fused graph holds
 two activation-sized arrays fewer per layer.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from brainspeech.brain_net import BrainNet, BrainNetConfig, dilation_schedule
-from brainspeech.numerics import Tensor, no_grad, ops
+from brainspeech.numerics import BatchNormState, Tensor, no_grad, ops
 from brainspeech.objective import clip_loss_batch
 
 from gradcheck import add
@@ -112,8 +113,10 @@ def graph_after_loss(forward, batch, t):
 
 def test_graph_keeps_two_activations_fewer_per_layer(monkeypatch):
     """Per conv-BatchNorm-GELU layer the oracle keeps the conv output, the
-    residual sum, BatchNorm's xhat and output, GELU's cdf and output; the
-    fused layer keeps neither the sum nor BatchNorm's output."""
+    residual sum (which BatchNorm overwrites with its xhat), BatchNorm's
+    output, GELU's cdf and output; the fused layer keeps the conv-plus-skip
+    output as xhat, GELU's cdf and the output, and neither a separate sum nor
+    BatchNorm's output."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     batch, t = 4, 120
     fused_nodes, fused_bytes = graph_after_loss(fused_forward, batch, t)
@@ -121,3 +124,56 @@ def test_graph_keeps_two_activations_fewer_per_layer(monkeypatch):
     layers, act_bytes = 2 * 5, batch * 32 * t * 4  # float32 (B, d2, T)
     assert fused_bytes <= oracle_bytes - 2 * layers * act_bytes
     assert fused_nodes == oracle_nodes - 2 * layers
+
+
+def graph_bytes(monkeypatch, out):
+    """Bytes that ``perfbench/tracer.py``'s ``graph_size`` counts from ``out``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import graph_size
+
+    return graph_size(out)[1]
+
+
+def test_train_batchnorm_keeps_three_activations(monkeypatch):
+    """Train-mode BatchNorm with GELU normalises its input in place, so it
+    keeps xhat (the input's buffer), GELU's cdf and the output: three
+    activation-sized buffers, where a separate xhat made four."""
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(4, 6, 50)), requires_grad=True)
+    gamma = Tensor(np.ones(6), requires_grad=True)
+    beta = Tensor(np.zeros(6), requires_grad=True)
+    out = ops.batchnorm1d(x, gamma, beta, BatchNormState(6, dtype=np.float64), True,
+                          activation="gelu")
+    act_bytes = x.data.nbytes
+    assert 3 * act_bytes <= graph_bytes(monkeypatch, out) < 4 * act_bytes
+
+
+def test_glu_keeps_only_its_input_and_output(monkeypatch):
+    """GLU writes the gate's sigmoid over the gate half of its input."""
+    x = Tensor(np.random.default_rng(4).normal(size=(4, 12, 50)), requires_grad=True)
+    out = ops.glu(x)
+    assert graph_bytes(monkeypatch, out) == x.data.nbytes + out.data.nbytes
+
+
+def test_paper_width_train_step_holds_under_25_mb_per_sample():
+    """At paper width (208 channels, d1=270, d2=320, 3 s at 120 Hz) a B=8
+    train-mode forward plus the CLIP loss holds at most 25.0 MB per sample
+    until backward; with a separate xhat per BatchNorm and a separate sigmoid
+    per GLU it held 31.7 MB."""
+    batch, t = 8, 360
+    cfg = BrainNetConfig(in_channels=208, out_features=16, n_subjects=2, d1=270, d2=320,
+                         harmonics=32, blocks=5)
+    net = BrainNet(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    positions = rng.uniform(0.1, 0.9, size=(208, 2))
+    x = Tensor(rng.normal(size=(batch, 208, t)).astype(np.float32))
+    y = Tensor(rng.normal(size=(batch, 16, t)).astype(np.float32))
+    net.attention_weights(positions)  # fills the Fourier basis cache
+    tracemalloc.start()
+    try:
+        loss = clip_loss_batch(net.forward(x, np.arange(batch) % 2, positions, True, rng), y)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held / batch <= 25.0e6

@@ -126,12 +126,14 @@ def assert_bitwise(got, want, what):
 def run_op(fn, arrays, g, grads=None):
     """Forward ``fn`` on tensors holding ``arrays`` and backpropagate ``g``.
 
-    ``grads`` says which inputs require a gradient (default: all). The loss
-    is the inner product of the output with ``g``, so the output gradient is
-    exactly ``g``.
+    ``grads`` says which inputs require a gradient (default: all). Each
+    tensor holds its own copy, since ``batchnorm1d`` and ``glu`` overwrite
+    their input's buffer. The loss is the inner product of the output with
+    ``g``, so the output gradient is exactly ``g``.
     """
     grads = grads or [True] * len(arrays)
-    tensors = [None if a is None else Tensor(a, requires_grad=r) for a, r in zip(arrays, grads)]
+    tensors = [None if a is None else Tensor(np.array(a), requires_grad=r)
+               for a, r in zip(arrays, grads)]
     out = fn(*tensors)
     inner_product_full(out, Tensor(g)).backward()
     return out.data, [None if t is None else t.grad for t in tensors]
@@ -271,14 +273,14 @@ def test_batchnorm1d_activation_bitwise_matches_batchnorm_then_activation(
     rng = np.random.default_rng(10)
     gamma = rng.normal(size=6).astype(dtype)
     beta = rng.normal(size=6).astype(dtype)
-    warm = Tensor((rng.normal(size=(4, 6, 37)) * 2).astype(dtype))
+    warm = (rng.normal(size=(4, 6, 37)) * 2).astype(dtype)
     for batch in BATCHES[1:]:
         x = (rng.normal(size=(batch, 6, 37)) * 3 + 1).astype(dtype)
         g = rng.normal(size=(batch, 6, 37)).astype(dtype)
         got, want = [], []
         for fused, into in ((True, got), (False, want)):
             state = BatchNormState(6, dtype=dtype)
-            ops.batchnorm1d(warm, Tensor(gamma), Tensor(beta), state, True)
+            ops.batchnorm1d(Tensor(warm.copy()), Tensor(gamma), Tensor(beta), state, True)
             if fused:
                 fn = lambda x_, g_, b_: ops.batchnorm1d(x_, g_, b_, state, training,
                                                         activation=activation)
