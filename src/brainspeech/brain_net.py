@@ -258,11 +258,11 @@ class BrainNet:
             weights = softmax(logits, axis=1, keep=keep)
             h = mix(weights, x)
         else:
-            h = conv1d(x, self.params["input_proj.w"], self.params["input_proj.b"])
+            h = self._conv("input_proj", x)
         self._check(h, "spatial")
 
         if c.use_initial_conv:
-            h = conv1d(h, self.params["initial.w"], self.params["initial.b"])
+            h = self._conv("initial", h)
 
         if c.use_subject_layer:
             sidx = np.asarray(subject_idx)
@@ -283,30 +283,36 @@ class BrainNet:
         # as two fused ops: neither the sum nor BatchNorm's output is kept.
         for b, (d_a, d_b) in enumerate(dilation_schedule(c.blocks)):
             skip = c.use_skip_connections and h.shape[1] == c.d2
-            c1 = conv1d(h, self.params[f"block{b}.conv1.w"], self.params[f"block{b}.conv1.b"],
-                        dilation=d_a, residual=h if skip else None)
+            c1 = self._conv(f"block{b}.conv1", h, d_a, residual=h if skip else None)
             h1 = batchnorm1d(c1, self.params[f"block{b}.bn1.gamma"],
                              self.params[f"block{b}.bn1.beta"], self.bn_states[f"block{b}.bn1"],
                              training, update_running, activation=c.activation)
-            c2 = conv1d(h1, self.params[f"block{b}.conv2.w"], self.params[f"block{b}.conv2.b"],
-                        dilation=d_b, residual=h1 if c.use_skip_connections else None)
+            c2 = self._conv(f"block{b}.conv2", h1, d_b,
+                            residual=h1 if c.use_skip_connections else None)
             h2 = batchnorm1d(c2, self.params[f"block{b}.bn2.gamma"],
                              self.params[f"block{b}.bn2.beta"], self.bn_states[f"block{b}.bn2"],
                              training, update_running, activation=c.activation)
-            if c.use_glu_conv:
-                h = glu(conv1d(h2, self.params[f"block{b}.conv3.w"],
-                               self.params[f"block{b}.conv3.b"]))
-            else:
-                h = h2
+            h = glu(self._conv(f"block{b}.conv3", h2)) if c.use_glu_conv else h2
             self._check(h, f"block{b}")
 
         if c.use_final_convs:
-            h = conv1d(h, self.params["head.conv1.w"], self.params["head.conv1.b"])
+            h = self._conv("head.conv1", h)
             h = gelu(h) if c.activation == "gelu" else relu(h)
-            out = conv1d(h, self.params["head.conv2.w"], self.params["head.conv2.b"])
+            out = self._conv("head.conv2", h)
         else:
-            out = conv1d(h, self.params["head.direct.w"], self.params["head.direct.b"])
+            out = self._conv("head.direct", h)
         self._check(out, "head")
+        return out
+
+    def _conv(self, name: str, h: Tensor, dilation: int = 1,
+              residual: Optional[Tensor] = None) -> Tensor:
+        """Conv ``name`` of ``h``. Nothing but backward reads ``h`` afterwards,
+        so ``h`` is released: an output that its op can rebuild bitwise
+        (train-mode BatchNorm, GLU, GELU) is dropped until backward, and any
+        other tensor is left as it is."""
+        out = conv1d(h, self.params[f"{name}.w"], self.params[f"{name}.b"], dilation=dilation,
+                     residual=residual)
+        h.release()
         return out
 
     @staticmethod

@@ -224,6 +224,11 @@ def batchnorm1d(
     expression, so its gradients are bitwise those of ``gelu`` or ``relu``
     applied to the plain op's output, which is never kept.
 
+    Train mode registers a rebuild of its output from ``xhat`` (and the cdf)
+    with the forward's own last steps (the affine, then ``x * cdf`` or the
+    ReLU), no ``erf``, so ``Tensor.release`` may drop the output until
+    backward reads it and the rebuilt bytes are the forward's.
+
     Train mode takes ownership of ``x.data``: it overwrites it with the
     normalised input ``xhat`` (same dtype, since ``mu`` is ``x``'s own mean),
     so the graph keeps no copy of an input no backward reads. As
@@ -240,12 +245,13 @@ def batchnorm1d(
         raise ValueError(f"batchnorm1d: unknown activation {activation!r}")
     act_forward, act_backward = _ACTIVATIONS.get(activation, (None, None))
 
-    def normalise_rows(rows, xh: np.ndarray) -> None:
-        """Writes ``out_data[rows]``: the affine of the normalised ``xh``, activated."""
-        y = out_data[rows]
+    def normalise_rows(rows, xh: np.ndarray, act, out: np.ndarray) -> None:
+        """Writes ``out[rows]``: the affine of the normalised ``xh``, then
+        ``act`` (an activation's forward, its output from the kept cdf, or None)."""
+        y = out[rows]
         _affine(gamma.data, beta.data, xh, y)
-        if act_forward is not None:
-            act_forward(y, None if cdf is None else cdf[rows], y)
+        if act is not None:
+            act(y, None if cdf is None else cdf[rows], y)
 
     if training:
         if batch < 2:
@@ -269,7 +275,7 @@ def batchnorm1d(
         def normalise(rows) -> None:
             xh = xhat[rows]
             xh *= inv[:, None]
-            normalise_rows(rows, xh)
+            normalise_rows(rows, xh, act_forward, out_data)
 
         twoway.split(batch, x.size, normalise)
         if update_running:
@@ -282,9 +288,16 @@ def batchnorm1d(
                 state.running_var.dtype
             )
             state.initialized = True
+        act_output = _ACTIVATION_OUTPUTS.get(activation)
+
+        # Neither closure below reads out_data, so a released output is freed.
+        def rebuild() -> np.ndarray:
+            out = np.empty_like(xhat)
+            twoway.split(batch, out.size, lambda r: normalise_rows(r, xhat[r], act_output, out))
+            return out
 
         def backward(g: np.ndarray) -> None:
-            dy = _act_grad(act_backward, gamma.data, beta.data, xhat, cdf, g, out_data.dtype)
+            dy = _act_grad(act_backward, gamma.data, beta.data, xhat, cdf, g, xhat.dtype)
             need_x = x.requires_grad
             tmp = np.empty(xhat.shape, dtype=np.result_type(dy, xhat))
             if need_x:
@@ -323,7 +336,7 @@ def batchnorm1d(
             twoway.split(batch, dx.size, scaled)
             x.accumulate(dx)
 
-        return from_op(out_data, (x, gamma, beta), backward)
+        return from_op(out_data, (x, gamma, beta), backward, rebuild)
 
     if not state.initialized:
         raise RuntimeError("batchnorm1d: eval mode before any train step")
@@ -336,7 +349,7 @@ def batchnorm1d(
     def normalise(rows) -> None:
         xh = np.subtract(x.data[rows], state.running_mean[:, None], out=xhat[rows])
         xh *= rinv[:, None]
-        normalise_rows(rows, xh)
+        normalise_rows(rows, xh, act_forward, out_data)
 
     twoway.split(batch, x.size, normalise)
 
@@ -359,7 +372,13 @@ def _gelu_forward(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> None:
     erf(c, out=c)
     c += 1.0
     c *= 0.5
-    np.multiply(x, c, out=out)
+    _gated(x, c, out)
+
+
+def _gated(x: np.ndarray, gate: np.ndarray, out: np.ndarray) -> None:
+    """``out = x * gate``, the last step of GELU (gate: the cdf) and of GLU
+    (gate: the sigmoid), which their rebuilds repeat; ``out`` may be ``x``."""
+    np.multiply(x, gate, out=out)
 
 
 def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
@@ -379,6 +398,8 @@ def _relu_backward(x: np.ndarray, _cdf: None, g: np.ndarray, out: np.ndarray) ->
 # activation -> (forward, backward) row math; GELU's needs its cdf kept
 _ACTIVATIONS = {"gelu": (_gelu_forward, _gelu_backward),
                 "relu": (_relu_forward, _relu_backward)}
+# activation -> its output from the input and the kept cdf, without erf
+_ACTIVATION_OUTPUTS = {"gelu": _gated, "relu": _relu_forward}
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -387,6 +408,9 @@ def gelu(x: Tensor) -> Tensor:
     Forward and backward run per half of the batch (``twoway.split``); each
     element goes through the same operations as ``x * (0.5 * (1 + erf(x *
     (1 / sqrt(2)))))``, so the result is bitwise that of one whole-array pass.
+    The op registers a rebuild of its output as ``x * cdf`` from the input and
+    cdf its backward keeps, the forward's own last step, so
+    ``Tensor.release`` may drop the output until backward reads it.
     """
     x1 = np.atleast_1d(x.data)
     cdf = np.empty_like(x1)
@@ -407,7 +431,12 @@ def gelu(x: Tensor) -> Tensor:
         twoway.split(len(dx), dx.size, rows)
         x.accumulate(dx.reshape(x.shape))
 
-    return from_op(out1.reshape(x.shape), (x,), backward)
+    def rebuild() -> np.ndarray:
+        out = np.empty_like(x1)
+        twoway.split(len(out), out.size, lambda r: _gated(x1[r], cdf[r], out[r]))
+        return out.reshape(x.shape)
+
+    return from_op(out1.reshape(x.shape), (x,), backward, rebuild)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -429,6 +458,10 @@ def glu(x: Tensor) -> Tensor:
     half, which no backward reads afterwards. As ``Tensor.accumulate`` asks
     of gradients, the caller hands it a buffer that nothing else writes to
     or reads afterwards, such as a fresh conv output.
+
+    The op registers a rebuild of its output as ``a * sigmoid`` from the two
+    halves it keeps, with the forward's own last step, so ``Tensor.release``
+    may drop the output until backward reads it.
     """
     channels = x.shape[1]
     if channels % 2:
@@ -440,7 +473,7 @@ def glu(x: Tensor) -> Tensor:
 
     def forward(r) -> None:
         np.divide(1.0, 1.0 + np.exp(-sig[r]), out=sig[r])
-        np.multiply(a[r], sig[r], out=out_data[r])
+        _gated(a[r], sig[r], out_data[r])
 
     twoway.split(x.shape[0], out_data.size, forward)
 
@@ -455,7 +488,12 @@ def glu(x: Tensor) -> Tensor:
         twoway.split(x.shape[0], g.size, rows)
         x.accumulate(dx)
 
-    return from_op(out_data, (x,), backward)
+    def rebuild() -> np.ndarray:
+        out = np.empty(a.shape, dtype=x.dtype)
+        twoway.split(len(out), out.size, lambda r: _gated(a[r], sig[r], out[r]))
+        return out
+
+    return from_op(out_data, (x,), backward, rebuild)
 
 
 def softmax(x: Tensor, axis: int = -1, keep: Optional[np.ndarray] = None) -> Tensor:

@@ -5,7 +5,9 @@ checking) and remember how they were produced. Calling ``backward()`` on
 a scalar walks the graph in reverse topological order, accumulates
 gradients into every tensor with ``requires_grad=True`` and releases each
 node's link to the graph once its gradient has been passed on. Inside
-``no_grad()`` ops record no graph at all.
+``no_grad()`` ops record no graph at all. An op whose output can be rebuilt
+bitwise from what its backward keeps anyway registers that rebuild, so the
+output itself can be released until backward reads it (``Tensor.release``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward",
-                 "__weakref__")
+                 "_rebuild", "_released", "__weakref__")
 
     def __init__(
         self,
@@ -27,6 +29,7 @@ class Tensor:
         name: Optional[str] = None,
         _parents: Sequence["Tensor"] = (),
         _backward: Optional[Callable[[np.ndarray], None]] = None,
+        _rebuild: Optional[Callable[[], np.ndarray]] = None,
     ):
         self.data = np.asarray(data)
         self.grad: Optional[np.ndarray] = None
@@ -34,6 +37,8 @@ class Tensor:
         self.name = name
         self._parents = tuple(_parents)
         self._backward = _backward
+        self._rebuild = _rebuild
+        self._released = False
 
     @property
     def shape(self):
@@ -77,13 +82,32 @@ class Tensor:
         else:
             self.grad += g
 
+    def release(self) -> None:
+        """Drop this op output's buffer until backward needs it again.
+
+        Only an output whose op registered a rebuild is released: ``data``
+        becomes a zero-byte, read-only NaN view of the same shape and dtype
+        (so shape checks still hold and a stray forward read fails the
+        non-finite guards), and ``backward()`` rebuilds the bytes just before
+        the closure of a node that reads this tensor runs, then releases them
+        again. On leaves, on outputs without a rebuild, on outputs built
+        inside ``no_grad()`` and once the sweep has passed this tensor it
+        does nothing. Call it once nothing but backward reads ``data`` any
+        more, such as right after building the op that consumes it.
+        """
+        if self._rebuild is not None:
+            self.data = np.broadcast_to(np.array(np.nan, dtype=self.data.dtype), self.shape)
+            self._released = True
+
     def backward(self) -> None:
         """Reverse-mode sweep from this (scalar) tensor.
 
         The graph is consumed: after a node's closure has run, the node drops
         its closure, its parents and (unless it is a leaf) its gradient, so
         the activations it held are freed as the sweep goes and tensors kept
-        by the caller pin no graph afterwards.
+        by the caller pin no graph afterwards. Released parents are rebuilt
+        for the closure of the node that reads them and released again after
+        it, so the rebuild time counts as the sweep's own.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -108,8 +132,14 @@ class Tensor:
             if node._backward is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
+                rebuilt = [p for p in dict.fromkeys(node._parents) if p._released]
+                for p in rebuilt:
+                    p.data, p._released = p._rebuild(), False
                 node._backward(node.grad)
+                for p in rebuilt:
+                    p.release()
             node._backward = None
+            node._rebuild = None
             node._parents = ()
             node.grad = None
 
@@ -138,9 +168,10 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
-def from_op(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
-    """Build a graph node; the backward closure is dropped when no parent needs
-    grad or inside ``no_grad()``."""
+def from_op(data: np.ndarray, parents: Iterable[Tensor], backward, rebuild=None) -> Tensor:
+    """Build a graph node; the backward closure and the optional ``rebuild``
+    (a function returning ``data``'s bytes afresh, for ``Tensor.release``) are
+    dropped when no parent needs grad or inside ``no_grad()``."""
     parents = tuple(parents)
     needs = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(
@@ -148,4 +179,5 @@ def from_op(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
         requires_grad=needs,
         _parents=parents if needs else (),
         _backward=backward if needs else None,
+        _rebuild=rebuild if needs else None,
     )

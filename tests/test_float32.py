@@ -112,9 +112,9 @@ def test_brain_net_forward_loss_backward_float32(monkeypatch):
         fused_dtypes.extend([y.dtype, cdf.dtype])  # y: the recomputed output
         gelu_backward(y, cdf, g, out)
 
-    def recording_from_op(data, parents, backward):
+    def recording_from_op(data, parents, backward, rebuild=None):
         out_dtypes.append(np.asarray(data).dtype)
-        return from_op(data, parents, backward)
+        return from_op(data, parents, backward, rebuild)
 
     accumulate = Tensor.accumulate
 

@@ -33,7 +33,9 @@ def records_graph() -> bool:
 
 
 def backward_keeping_graph(loss: Tensor) -> None:
-    """The sweep without release: same order, closures and graph left intact."""
+    """The sweep without release: same order, closures and graph left intact.
+    Like ``Tensor.backward`` it rebuilds a released parent before the closure
+    of a node that reads it; the rebuilt bytes then stay."""
     order, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -48,6 +50,9 @@ def backward_keeping_graph(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
+            for p in node._parents:
+                if p._released:
+                    p.data, p._released = p._rebuild(), False
             node._backward(node.grad)
 
 
