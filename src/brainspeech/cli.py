@@ -335,7 +335,7 @@ def cmd_attention_dump(args) -> int:
         raise CliError("invalid", "checkpoint was trained without spatial attention")
     root = Path(args.dataset)
     manifest = dataset_io.read_manifest(root)
-    rec = dataset_io.read_recording(root, dataset_io.recording_ids(root)[0], manifest)
+    rec = dataset_io.read_recording_info(root, dataset_io.recording_ids(root)[0], manifest)
     weights = brain.attention_weights(rec.positions)  # (D1, C)
     mean_w = weights.mean(axis=0)
     out_path = Path(args.out)

@@ -1,4 +1,5 @@
-from .types import Recording, Sample, SpeechSegment, SplitAssignment, WordEvent, SPLITS
+from .types import (Recording, RecordingInfo, Sample, SpeechSegment, SplitAssignment,
+                    WordEvent, SPLITS)
 from .splits import build_splits, normalize_token, vocabulary
 from .windows import WORKING_RATE, window_start
 from .synthetic import SynthSpec, generate_synthetic, segment_onset
@@ -6,6 +7,7 @@ from . import io
 
 __all__ = [
     "Recording",
+    "RecordingInfo",
     "Sample",
     "SpeechSegment",
     "SplitAssignment",

@@ -26,7 +26,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .types import SPLITS, Recording, SpeechSegment, SplitAssignment, WordEvent
+from .types import (SPLITS, Recording, RecordingInfo, SpeechSegment, SplitAssignment,
+                    WordEvent)
 
 EVENTS_HEADER = ["onset_s", "duration_s", "word", "segment_id"]
 MANIFEST_KEYS = ("name", "recording_rate", "audio_rate", "channels", "subjects")
@@ -152,10 +153,10 @@ def write_recording(
     )
 
 
-def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
-    """Read a recording as the manifest describes it: its subject, the id
-    before the last ``_``, must be a manifest subject (whose index becomes
-    ``subject_id``), and its channel count must be the manifest's."""
+def read_recording_info(root: Path, recording_id: str, manifest: dict) -> RecordingInfo:
+    """Read a recording's sidecar as the manifest describes it: its subject,
+    the id before the last ``_``, must be a manifest subject (whose index
+    becomes ``subject_id``), and its channel count must be the manifest's."""
     rec_dir = Path(root) / "recordings"
     subject = recording_id.rsplit("_", 1)[0]
     if subject not in manifest["subjects"]:
@@ -168,20 +169,29 @@ def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
     if channels != manifest["channels"]:
         raise DatasetFormatError(
             f"{path}: {channels} channels, manifest says {manifest['channels']}")
-    signal = _read_matrix(rec_dir / f"{recording_id}.bin", channels,
-                          _number(path, "samples", meta["samples"]))
+    samples = _number(path, "samples", meta["samples"])
     sample_rate = float(_number(path, "sample_rate", meta["sample_rate"], NUMBER))
     try:
-        return Recording(
+        return RecordingInfo(
             recording_id=recording_id,
             subject_id=manifest["subjects"].index(subject),
             channel_names=list(meta["channel_names"]),
             positions=np.asarray(meta["positions"], dtype=np.float64),
-            signal=signal,
             sample_rate=sample_rate,
+            n_channels=channels,
+            n_samples=samples,
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
+
+
+def read_recording(root: Path, recording_id: str, manifest: dict) -> Recording:
+    """Read a recording: its sidecar through :func:`read_recording_info`,
+    then its signal, whose every value must be finite."""
+    info = read_recording_info(root, recording_id, manifest)
+    signal = _read_matrix(Path(root) / "recordings" / f"{recording_id}.bin",
+                          info.n_channels, info.n_samples)
+    return Recording(**vars(info), signal=signal)
 
 
 def write_events(root: Path, recording_id: str, rows: List[Tuple[float, float, str, int]]) -> None:

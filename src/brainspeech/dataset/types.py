@@ -18,22 +18,23 @@ class WordEvent:
 
 
 @dataclass
-class Recording:
-    """One participant's continuous multichannel signal plus sensor layout."""
+class RecordingInfo:
+    """One participant's recording as its sidecar describes it: sensor
+    layout, rate and length, without the signal."""
 
     recording_id: str
     subject_id: int
     channel_names: List[str]
     positions: np.ndarray  # (C, 2), each coordinate in [0, 1]
-    signal: np.ndarray  # (C, T)
     sample_rate: float
+    n_channels: int
+    n_samples: int  # at ``sample_rate``
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.signal = np.asarray(self.signal)
-        c, t = self.signal.shape
+        c, t = self.n_channels, self.n_samples
         if c < 1 or t < 1:
-            raise ValueError(f"{self.recording_id}: empty signal {self.signal.shape}")
+            raise ValueError(f"{self.recording_id}: empty signal {(c, t)}")
         if self.positions.shape != (c, 2):
             raise ValueError(f"{self.recording_id}: positions shape {self.positions.shape} != ({c}, 2)")
         if len(self.channel_names) != c:
@@ -43,13 +44,19 @@ class Recording:
         if self.sample_rate <= 0:
             raise ValueError(f"{self.recording_id}: sample_rate must be positive")
 
-    @property
-    def n_channels(self) -> int:
-        return self.signal.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.signal.shape[1]
+@dataclass
+class Recording(RecordingInfo):
+    """One participant's continuous multichannel signal plus sensor layout."""
+
+    signal: np.ndarray  # (n_channels, n_samples)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.signal = np.asarray(self.signal)
+        if self.signal.shape != (self.n_channels, self.n_samples):
+            raise ValueError(f"{self.recording_id}: signal shape {self.signal.shape} != "
+                             f"({self.n_channels}, {self.n_samples})")
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Materialization is lazy per split: :meth:`DataPipeline.materialize` serves a
 split's windows together with its targets, each segment's raw target computed
-on first use. The access guard records a split before any of its windows or
-targets are read, which is how training proves it never touched the test
-split.
+on first use. Only the windows a split reads are resampled and held. The
+access guard records a split before any of its windows or targets are read,
+which is how training proves it never touched the test split.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import preprocessing
 from .dataset import io as dataset_io
-from .dataset.types import SPLITS, Recording, Sample
+from .dataset.types import SPLITS, RecordingInfo, Sample
 from .dataset.windows import WORKING_RATE, window_start
 from .speech import (
     MEL_HOP,
@@ -73,6 +73,12 @@ class DataPipeline:
 
     Every window is the manifest's ``window_s`` long and starts
     ``anchor_s`` before its segment's first word onset.
+
+    Construction reads every recording's sidecar. A build that fits its
+    scalers also reads each recording once, resamples only its train and
+    valid windows and holds those raw windows until :meth:`materialize`
+    serves them. A build given its scalers reads no signal; any split whose
+    windows are not held is read and resampled on :meth:`materialize`.
     """
 
     def __init__(self, root, config: DataConfig,
@@ -91,27 +97,26 @@ class DataPipeline:
         self.anchor_s = float(self.manifest["anchor_s"])
         self.window_samples = int(round(self.window_s * WORKING_RATE))
 
-        self.recordings: Dict[str, Recording] = {}
+        self.recording_info: Dict[str, RecordingInfo] = {}
         self.positions: Optional[np.ndarray] = None
         for rec_id in first_onsets:  # every recording, in id order
-            rec = dataset_io.read_recording(self.root, rec_id, self.manifest)
-            if rec.sample_rate != WORKING_RATE:
-                rec = Recording(
-                    rec.recording_id, rec.subject_id, rec.channel_names, rec.positions,
-                    preprocessing.resample(rec.signal, rec.sample_rate, WORKING_RATE),
-                    WORKING_RATE,
-                )
+            info = dataset_io.read_recording_info(self.root, rec_id, self.manifest)
             if self.positions is None:
-                self.positions = rec.positions
-            elif not np.array_equal(self.positions, rec.positions):
+                self.positions = info.positions
+            elif not np.array_equal(self.positions, info.positions):
                 raise ValueError(
                     "recordings disagree on sensor positions; mixed layouts are unsupported"
                 )
-            self.recordings[rec_id] = rec
+            self.recording_info[rec_id] = info
 
         self._samples: Dict[str, List[Sample]] = {split: [] for split in SPLITS}
         self._collect_samples(first_onsets)
-        self.scalers = scalers if scalers is not None else self._fit_scalers()
+        # each split's raw working-rate windows, held until materialize serves them
+        self._windows: Dict[str, List[np.ndarray]] = {}
+        if scalers is None:
+            self._windows = self._read_windows(("train", "valid"))
+            scalers = self._fit_scalers(self._windows["train"])
+        self.scalers = scalers
         self._raw_targets: Dict[int, np.ndarray] = {}
         if feature_stats is None:
             feature_stats = FeatureStats.fit(
@@ -124,27 +129,47 @@ class DataPipeline:
     def _collect_samples(self, first_onsets: Dict[str, Dict[int, float]]) -> None:
         """Each recording's window of each segment it presents, anchored at
         the segment's earliest word onset in that recording."""
-        for rec_id in sorted(self.recordings):
-            rec = self.recordings[rec_id]
+        for rec_id, info in self.recording_info.items():
             per_segment = first_onsets[rec_id]
             for sid in sorted(per_segment):
                 split = self.splits.split_of(sid)
                 if split is None:
                     continue
-                start = window_start(rec, sid, per_segment[sid], self.anchor_s,
+                start = window_start(info, sid, per_segment[sid], self.anchor_s,
                                      self.config.shift_s, self.window_samples)
                 if start is not None:
                     self._samples[split].append(
-                        Sample(rec_id, rec.subject_id, sid, start))
+                        Sample(rec_id, info.subject_id, sid, start))
 
-    def _fit_scalers(self) -> Dict[str, preprocessing.ScalerParams]:
+    def _read_windows(self, splits) -> Dict[str, List[np.ndarray]]:
+        """The raw working-rate window of every sample of ``splits``, in
+        sample order: each recording that has such a sample is read once and
+        only those windows are resampled."""
+        windows: Dict[str, List[np.ndarray]] = {}
+        wanted: Dict[str, list] = {}
+        for split in splits:
+            self.guard.record(split)
+            windows[split] = [None] * len(self._samples[split])
+            for i, s in enumerate(self._samples[split]):
+                wanted.setdefault(s.recording_id, []).append((split, i, s.brain_start))
+        for rec_id in sorted(wanted):
+            rec = dataset_io.read_recording(self.root, rec_id, self.manifest)
+            spans = [(start, start + self.window_samples) for _, _, start in wanted[rec_id]]
+            if rec.sample_rate == WORKING_RATE:  # no resampling; copies free the recording
+                raw = [rec.signal[:, a:b].copy() for a, b in spans]
+            else:
+                raw = preprocessing.resample(rec.signal, rec.sample_rate, WORKING_RATE, spans)
+            del rec  # one whole recording at a time
+            for (split, i, _), window in zip(wanted[rec_id], raw):
+                windows[split][i] = window
+        return windows
+
+    def _fit_scalers(self, train_windows: List[np.ndarray]
+                     ) -> Dict[str, preprocessing.ScalerParams]:
         scalers = {}
-        for rec_id, rec in self.recordings.items():
-            slices = [
-                rec.signal[:, s.brain_start : s.brain_start + self.window_samples]
-                for s in self._samples["train"]
-                if s.recording_id == rec_id
-            ]
+        for rec_id in self.recording_info:
+            slices = [window for window, s in zip(train_windows, self._samples["train"])
+                      if s.recording_id == rec_id]
             if not slices:
                 raise ValueError(f"{rec_id}: no training-split samples to fit the scaler")
             try:
@@ -182,7 +207,7 @@ class DataPipeline:
 
     @property
     def n_channels(self) -> int:
-        return int(next(iter(self.recordings.values())).n_channels)
+        return int(next(iter(self.recording_info.values())).n_channels)
 
     @property
     def feature_dim(self) -> int:
@@ -190,23 +215,26 @@ class DataPipeline:
 
     def materialize(self, split: str) -> PreparedSplit:
         """Preprocessed brain windows for every sample of a split, with the
-        normalized targets of the split's segments they are scored against."""
+        normalized targets of the split's segments they are scored against.
+        Held raw windows are served once and freed as they are preprocessed;
+        a split without them is read and resampled here."""
         self.guard.record(split)
         samples = self._samples[split]
         if not samples:
             raise ValueError(f"no samples in split {split!r}")
+        raw = self._windows.pop(split, None)
+        if raw is None:
+            raw = self._read_windows((split,))[split]
         x = np.empty((len(samples), self.n_channels, self.window_samples), dtype=np.float32)
         for i, s in enumerate(samples):
-            raw = self.recordings[s.recording_id].signal[
-                :, s.brain_start : s.brain_start + self.window_samples
-            ]
             x[i] = preprocessing.preprocess_window(
-                raw,
+                raw[i],
                 self.scalers[s.recording_id],
                 baseline_dur=self.config.baseline_s,
                 sample_rate=WORKING_RATE,
                 clamp_limit=self.config.clamp,
             )
+            raw[i] = None
         ids = self.splits.ids_in(split)
         row_of = {sid: j for j, sid in enumerate(ids)}
         return PreparedSplit(

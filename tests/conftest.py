@@ -3,6 +3,7 @@
 import pytest
 
 from brainspeech import twoway
+from brainspeech.dataset import SynthSpec, generate_synthetic
 
 
 @pytest.fixture
@@ -31,3 +32,13 @@ def split_mode(request, force_split):
     """Force the two-way split on (two CPUs, no size floor) or off (one CPU)."""
     force_split(2 if request.param == "split" else 1)
     return request.param
+
+
+@pytest.fixture(scope="module")
+def dataset_600hz(tmp_path_factory):
+    """32 channels of about 50 s at 600 Hz: resampling runs several GEMMs per recording."""
+    root = tmp_path_factory.mktemp("data") / "hz600"
+    generate_synthetic(SynthSpec(subjects=2, segments=14, channels=32, features=6,
+                                 noise_std=0.5, seed=5, vocab_size=12,
+                                 sample_rate=600.0), root)
+    return root

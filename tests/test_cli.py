@@ -120,7 +120,11 @@ class TestPipelineSmoke:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["zero_shot"]["overall_top10"] == report["word_level"]["top10"]
 
-    def test_attention_dump_csv(self, workspace):
+    def test_attention_dump_csv(self, workspace, monkeypatch):
+        """Positions and channel names come from the first recording's sidecar;
+        no signal file is read."""
+        monkeypatch.setattr(dataset_io, "read_recording",
+                            lambda *a: pytest.fail("attention-dump read a signal file"))
         out = workspace / "attn.csv"
         assert main(["attention-dump", "--checkpoint", str(workspace / "run" / "best"),
                      "--dataset", str(workspace / "data"), "--out", str(out)]) == 0
@@ -129,6 +133,8 @@ class TestPipelineSmoke:
         assert len(lines) == 9  # header + 8 sensors
         weights = [float(line.split(",")[3]) for line in lines[1:]]
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
+        meta = json.loads((workspace / "data" / "recordings" / "s00_r00.json").read_text())
+        assert [line.split(",")[0] for line in lines[1:]] == meta["channel_names"]
 
     def test_analyze_with_features_and_compare(self, workspace):
         report = json.loads((workspace / "eval" / "report.json").read_text())

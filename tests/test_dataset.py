@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from brainspeech.dataset import (
-    Recording,
+    RecordingInfo,
     SpeechSegment,
     SynthSpec,
     WordEvent,
@@ -117,14 +117,15 @@ class TestWindowStart:
     before the onset and the brain window ``shift_s`` after that, each
     rounded to a sample on its own."""
 
-    def start(self, onset, shift=0.150, samples=4000):
-        rec = Recording(
+    def start(self, onset, shift=0.150, samples=4000, rate=120.0):
+        rec = RecordingInfo(
             recording_id="s00_r00",
             subject_id=0,
             channel_names=["c0", "c1"],
             positions=np.array([[0.2, 0.3], [0.7, 0.8]]),
-            signal=np.zeros((2, samples), dtype=np.float32),
-            sample_rate=120.0,
+            sample_rate=rate,
+            n_channels=2,
+            n_samples=samples,
         )
         return window_start(rec, 7, onset, anchor_s=0.5, shift_s=shift, window_samples=360)
 
@@ -156,6 +157,14 @@ class TestWindowStart:
         assert [r.getMessage() for r in caplog.records] == [
             f"skipping sample: s00_r00: window for segment 7 at {onset:.3f}s falls "
             "outside the recording" for onset in (0.5 - 1 / 120, 0.5, 0.5 + 23 / 120)]
+
+    @pytest.mark.parametrize("rate", [500.0, 600.0, 1000.0])
+    def test_end_bound_is_the_working_rate_length(self, rate):
+        """A recording at another rate is bounded by its length once
+        resampled: 400 samples at 120 Hz, whatever its own rate."""
+        samples = round(400 * rate / 120.0)
+        assert self.start(0.5 + 23 / 120, samples=samples, rate=rate) is None
+        assert self.start(0.5 + 22 / 120, samples=samples, rate=rate) == 400 - 360
 
 
 def dataset_digest(root: Path) -> str:

@@ -1,9 +1,10 @@
 """A DataPipeline build changes no byte when its preprocessing splits over two threads.
 
-Resampling and scaler fitting split each recording's channels over the
-calling thread and one pool thread; per-segment targets stay serial. The
+Resampling splits each recording's GEMMs, and scaler fitting its channels,
+over the calling thread and one pool thread; per-segment targets stay serial. The
 build is compared byte for byte with the split forced on (two CPUs, no size
-floor) and off (one CPU).
+floor) and off (one CPU), and with an oracle that resamples each whole
+recording and slices its windows.
 """
 
 import threading
@@ -12,21 +13,11 @@ import numpy as np
 import pytest
 
 from brainspeech.brain_net import BrainNet, BrainNetConfig
-from brainspeech.dataset import SynthSpec, generate_synthetic
 from brainspeech.dataset.types import SPLITS
 from brainspeech.numerics import AdamState, Tensor, adam_step
 from brainspeech.objective import clip_loss_batch
 from brainspeech.pipeline import DataConfig, DataPipeline
-
-
-@pytest.fixture(scope="module")
-def dataset_600hz(tmp_path_factory):
-    # 32 channels of about 50 s at 600 Hz: resampling runs in two channel groups
-    root = tmp_path_factory.mktemp("data") / "hz600"
-    generate_synthetic(SynthSpec(subjects=2, segments=14, channels=32, features=6,
-                                 noise_std=0.5, seed=5, vocab_size=12,
-                                 sample_rate=600.0), root)
-    return root
+from pipeline_oracle import whole_recording_build
 
 
 def split_passes(split, monkeypatch):
@@ -45,19 +36,22 @@ def split_passes(split, monkeypatch):
 
 
 def build_bytes(root, representation):
-    """Every array a build and its three splits serve, as bytes."""
+    """The scalers, the feature statistics and every split's served arrays
+    of a build, as bytes."""
     pipe = DataPipeline(root, DataConfig(representation=representation, n_mels=20))
     out = {"feature_stats": (pipe.feature_stats.mean.tobytes(),
                              pipe.feature_stats.std.tobytes())}
-    for rec_id, rec in pipe.recordings.items():
-        scaler = pipe.scalers[rec_id]
-        out[rec_id] = (rec.signal.tobytes(), scaler.q25.tobytes(),
-                       scaler.median.tobytes(), scaler.q75.tobytes())
+    out.update(scaler_bytes(pipe.scalers))
     for split in SPLITS:
         prepared = pipe.materialize(split)
         out[split] = (prepared.x.tobytes(), prepared.candidates.tobytes(),
                       prepared.target_index.tobytes(), prepared.subject_idx.tobytes())
     return out
+
+
+def scaler_bytes(scalers):
+    return {rec_id: (s.q25.tobytes(), s.median.tobytes(), s.q75.tobytes())
+            for rec_id, s in scalers.items()}
 
 
 @pytest.mark.parametrize("representation", ["mel", "external"])
@@ -70,6 +64,16 @@ def test_build_is_bitwise_equal_split_or_inline(dataset_600hz, force_split, monk
     assert passes[1] == []
     assert set(passes[2]) == {"resample_groups", "quartile_rows"}
     assert built[1] == built[2]
+
+
+def test_build_serves_the_windows_of_whole_recordings(dataset_600hz, split_mode):
+    """Resampling only the windows each split reads gives the scalers and
+    window bytes of resampling each whole recording and slicing it."""
+    pipe = DataPipeline(dataset_600hz, DataConfig(representation="external"))
+    scalers, x = whole_recording_build(pipe)
+    assert scaler_bytes(pipe.scalers) == scaler_bytes(scalers)
+    for split in SPLITS:
+        assert pipe.materialize(split).x.tobytes() == x[split].tobytes(), split
 
 
 def test_build_then_desk_step_leaves_at_most_one_extra_thread(dataset_600hz, force_split,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from brainspeech import twoway
 from brainspeech.preprocessing import (
     _RESAMPLE_BLOCK,
+    _RESAMPLE_ROWS,
     DegenerateChannel,
     ScalerParams,
     _resample_filter,
@@ -53,7 +54,7 @@ def whole_signal_resample(signal, sr_in, sr_out):
     """The blocked polyphase GEMM over the whole signal at once: one
     edge-extended float64 copy of every channel, float64 products, then a
     cast to the input dtype. Same filter, taps, blocks and summation order
-    as :func:`resample`, none of its channel grouping."""
+    as :func:`resample`, none of its grouping into GEMMs."""
     signal = np.atleast_2d(np.asarray(signal))
     channels, t_in = signal.shape
     t_out = int(round(t_in * sr_out / sr_in))
@@ -181,7 +182,7 @@ class TestResampleMatchesConvolveOracle:
 
 
 class TestResampleMatchesWholeSignal:
-    """Channel groups change no bit: every output is the same float64 sum."""
+    """Grouping rows into GEMMs changes no bit: every output is the same float64 sum."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rates", RATE_PAIRS + [(300.0, 250.0)])
@@ -214,7 +215,7 @@ class TestResampleMatchesWholeSignal:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_byte_identical_with_split_forced(self, split_mode, dtype):
-        """Each half of the channel groups, with its own buffers, gives the
+        """Each half of the GEMMs, with its own buffers, gives the
         whole-signal bytes, on two threads and on one."""
         rng = np.random.default_rng(8)
         for rates in RATE_PAIRS + [(300.0, 250.0)]:
@@ -233,6 +234,61 @@ class TestResampleMatchesWholeSignal:
         finally:
             tracemalloc.stop()
         assert peak < recording.nbytes / 2
+
+
+def window_spans(t_out, width, rng, n):
+    """Spans of ``width`` samples: one at each edge, an overlapping and a
+    touching pair, ``n`` at random, a repeat, one sample and an empty span."""
+    mid = t_out // 2
+    spans = [(0, width), (t_out - width, t_out), (mid, mid + width),
+             (mid + width // 3, mid + width // 3 + width), (mid + width, mid + 2 * width),
+             (0, width), (5, 6), (7, 7)]
+    spans += [(a, a + width) for a in rng.integers(0, t_out - width + 1, size=n).tolist()]
+    return spans
+
+
+class TestWindowedResample:
+    """Each requested span is byte-equal to the same columns of the whole
+    signal's blocked GEMM, however few rows the spans select. 300 -> 250 Hz
+    steps only 42 samples per row, so more of its GEMMs are small."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rates", [(500.0, 120.0), (600.0, 120.0), (1000.0, 120.0),
+                                       (300.0, 250.0)])
+    @pytest.mark.parametrize("channels, length, n", [
+        (32, 30_000, 40),  # a 50 s recording with many windows
+        (32, 30_000, 0),  # few windows: zero rows pad their GEMMs to the limit
+        (8, 60_000, 6),
+        # the whole signal's one GEMM has fewer rows than the limit, and under
+        # 1e6 multiply-adds, where OpenBLAS runs its small-matrix kernels
+        (1, 18_000, 2),
+    ])
+    def test_spans_byte_equal_to_whole_signal(self, split_mode, rates, dtype, channels,
+                                             length, n):
+        if channels == 1:
+            # every rate pair here steps at least 42 input samples per row
+            assert length // 42 + 5 < _RESAMPLE_ROWS
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(channels, length)).astype(dtype)
+            whole = whole_signal_resample(x, *rates)
+            spans = window_spans(whole.shape[1], 360, rng, n)
+            got = resample(x, *rates, spans)
+            assert len(got) == len(spans)
+            for (a, b), window in zip(spans, got):
+                assert window.dtype == dtype and window.shape == (channels, b - a)
+                assert window.tobytes() == whole[:, a:b].tobytes(), (seed, a, b)
+
+    def test_spans_at_the_working_rate_are_copies(self):
+        x = np.random.default_rng(4).normal(size=(3, 500)).astype(np.float32)
+        got = resample(x, 120.0, 120.0, [(0, 360), (140, 500)])
+        assert [w.tobytes() for w in got] == [x[:, :360].tobytes(), x[:, 140:].tobytes()]
+        assert not any(np.shares_memory(w, x) for w in got)
+
+    @pytest.mark.parametrize("span", [(-1, 10), (10, 9), (0, 401)])
+    def test_span_outside_the_output_rejected(self, span):
+        with pytest.raises(ValueError, match="outside the 400 output samples"):
+            resample(np.zeros((2, 2000)), 600.0, 120.0, [span])
 
 
 class TestBaselineCorrect:
