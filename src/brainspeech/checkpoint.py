@@ -190,6 +190,16 @@ def _rebuild(ckpt_dir: Path, manifest: dict) -> dict:
         "config": config,
         "brain": brain,
         "deep_mel": deep_mel,
-        "scalers": {k: ScalerParams.from_dict(v) for k, v in manifest["scalers"].items()},
-        "feature_stats": FeatureStats.from_dict(manifest["feature_stats"]),
+        "scalers": {k: _statistics(f"scalers[{k!r}]", ScalerParams.from_dict, v)
+                    for k, v in manifest["scalers"].items()},
+        "feature_stats": _statistics("feature_stats", FeatureStats.from_dict,
+                                     manifest["feature_stats"]),
     }
+
+
+def _statistics(entry: str, from_dict, obj):
+    """``from_dict(obj)``; a ``ValueError`` names the manifest ``entry``."""
+    try:
+        return from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"manifest.json: {entry}: {exc}") from None

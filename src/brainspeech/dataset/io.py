@@ -63,6 +63,11 @@ def load_json_object(path: Path, keys: Tuple[str, ...]) -> dict:
     return obj
 
 
+# Booleans per finiteness check of a matrix read: one check covers a whole
+# feature file, and a recording is checked in blocks of rows this size.
+_CHECK_BYTES = 1 << 20
+
+
 def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
     """Read a little-endian float32 rows x cols file into one writable float32
     array; every value must be finite."""
@@ -79,11 +84,15 @@ def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
             f"{path}: expected {expect} bytes for {rows}x{cols} float32, found {found}"
         )
     arr = arr.reshape(rows, cols).astype(np.float32, copy=False)
-    for row, values in enumerate(arr):  # row by row: no file-sized temporary
-        if not np.isfinite(values).all():
-            col = np.flatnonzero(~np.isfinite(values))[0]
+    step = max(1, _CHECK_BYTES // max(cols, 1))  # rows per check: no file-sized temporary
+    buffer = np.empty((min(step, rows), cols), dtype=bool)
+    for start in range(0, rows, step):
+        finite = np.isfinite(arr[start:start + step], out=buffer[:rows - start])
+        if not finite.all():
+            row, col = np.unravel_index(np.argmin(finite), finite.shape)  # first False
+            row += start
             raise DatasetFormatError(
-                f"{path}: non-finite value {values[col]} at row {row}, column {col}"
+                f"{path}: non-finite value {arr[row, col]} at row {row}, column {col}"
             )
     return arr
 

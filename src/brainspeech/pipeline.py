@@ -77,8 +77,9 @@ class DataPipeline:
     Construction reads every recording's sidecar. A build that fits its
     scalers also reads each recording once, resamples only its train and
     valid windows and holds those raw windows until :meth:`materialize`
-    serves them. A build given its scalers reads no signal; any split whose
-    windows are not held is read and resampled on :meth:`materialize`.
+    serves them or serves the test split. A build given its scalers reads
+    no signal; any split whose windows are not held is read and resampled
+    on :meth:`materialize`.
     """
 
     def __init__(self, root, config: DataConfig,
@@ -217,11 +218,14 @@ class DataPipeline:
         """Preprocessed brain windows for every sample of a split, with the
         normalized targets of the split's segments they are scored against.
         Held raw windows are served once and freed as they are preprocessed;
-        a split without them is read and resampled here."""
+        serving the test split frees every held window first. A split
+        without them is read and resampled here."""
         self.guard.record(split)
         samples = self._samples[split]
         if not samples:
             raise ValueError(f"no samples in split {split!r}")
+        if split == "test":  # served after training: free what train and valid left held
+            self._windows.clear()
         raw = self._windows.pop(split, None)
         if raw is None:
             raw = self._read_windows((split,))[split]

@@ -212,6 +212,28 @@ def baseline_correct(window: np.ndarray, baseline_dur: float = 0.5,
     return window - window[:, :n0].mean(axis=1, keepdims=True)
 
 
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _quartile_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.quantile's "linear" rule (Hyndman-Fan type 7) for the quartiles of
+    rows of length ``n``: the positions in a sorted row of the values below
+    and above each quartile, and the weight ``gamma`` of the upper one, as a
+    (3, 1) column.
+
+    Indexes and weights are formed as numpy 2 forms them, the last
+    position's clamping to -1 included, so the lerp in
+    :meth:`ScalerParams.fit` adds and multiplies exactly the numbers
+    ``np.quantile`` does.
+    """
+    virtual = (n - 1) * _QUARTILES
+    below = np.floor(virtual)
+    above = below + 1
+    at_end = virtual >= n - 1
+    below[at_end] = above[at_end] = -1
+    return below.astype(np.intp), above.astype(np.intp), (virtual - below)[:, None]
+
+
 @dataclass
 class ScalerParams:
     """Per-channel robust-scaler statistics (training portion only)."""
@@ -224,6 +246,10 @@ class ScalerParams:
         self.q25 = np.asarray(self.q25, dtype=np.float64)
         self.median = np.asarray(self.median, dtype=np.float64)
         self.q75 = np.asarray(self.q75, dtype=np.float64)
+        for name in ("q25", "median", "q75"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise ValueError(f"{name} is not finite at channel(s) {bad.tolist()}")
         bad = np.flatnonzero(self.q75 - self.q25 <= 0)
         if bad.size:
             raise DegenerateChannel(
@@ -234,18 +260,33 @@ class ScalerParams:
 
     @classmethod
     def fit(cls, signal: np.ndarray) -> "ScalerParams":
-        """Quartiles of each channel of a (C, T) signal.
+        """Quartiles of each channel of a (C, T) signal, byte-equal to
+        ``np.quantile(signal, [0.25, 0.5, 0.75], axis=1)``.
 
         One copy of ``signal`` is made here; the halves of its channel rows
-        are partitioned in place, on this thread and the pool thread of
-        :data:`brainspeech.twoway.split`.
+        are sorted in place, on this thread and the pool thread of
+        :data:`brainspeech.twoway.split`, and each quartile is numpy's lerp
+        between two sorted neighbours. A half holding an exact zero or a NaN
+        goes through ``np.quantile`` itself: a sort may order -0.0 and 0.0,
+        or two NaNs, otherwise than numpy's partition, and such values
+        compare equal while their bytes differ. Every other float has one
+        bit pattern per value.
         """
         data = np.array(signal)
         quartiles = np.empty((3, data.shape[0]))
+        below, above, gamma = _quartile_rule(data.shape[1])
 
         def quartile_rows(rows) -> None:
-            quartiles[:, rows] = np.quantile(data[rows], [0.25, 0.5, 0.75], axis=1,
-                                             overwrite_input=True)
+            block = data[rows]
+            if not block.all() or np.isnan(block.max(initial=0)):
+                quartiles[:, rows] = np.quantile(block, _QUARTILES, axis=1,
+                                                 overwrite_input=True)
+                return
+            block.sort(axis=1)
+            a, b = block[:, below].T, block[:, above].T
+            diff = b - a
+            out = np.add(a, diff * gamma, out=quartiles[:, rows])
+            np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
 
         twoway.split(len(data), data.size, quartile_rows)
         q25, med, q75 = quartiles

@@ -48,6 +48,10 @@ class FeatureStats:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
+        for name in ("mean", "std"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise ValueError(f"{name} is not finite at feature dimension(s) {bad.tolist()}")
         bad = np.flatnonzero(self.std <= 0)
         if bad.size:
             raise ValueError(f"zero-variance feature dimension(s): {bad.tolist()}")

@@ -6,6 +6,7 @@ import re
 import shutil
 import stat
 import subprocess
+import warnings
 import wave
 from pathlib import Path
 
@@ -724,6 +725,31 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error category=format: ")
         assert str(ckpt / "manifest.json") in err[0]
+
+    @pytest.mark.parametrize("entry, field, value, at", [
+        ("scalers", "q25", float("nan"), "channel(s) [2]"),
+        ("scalers", "q25", float("-inf"), "channel(s) [2]"),
+        ("feature_stats", "std", float("inf"), "feature dimension(s) [2]"),
+    ], ids=["scaler-nan", "scaler-neg-inf", "feature-inf"])
+    def test_eval_rejects_non_finite_statistics(self, workspace, tmp_path, capsys, entry,
+                                                field, value, at):
+        """One line names the manifest entry; no numpy warning comes first."""
+        ckpt = tmp_path / "best"
+        shutil.copytree(workspace / "run" / "best", ckpt)
+        rec_id = sorted(json.loads((ckpt / "manifest.json").read_text())["scalers"])[0]
+        where = f"scalers[{rec_id!r}]" if entry == "scalers" else entry
+
+        def corrupt(m):
+            stats = m["scalers"][rec_id] if entry == "scalers" else m[entry]
+            stats[field][2] = value
+
+        _edit_manifest(ckpt, corrupt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                         str(workspace / "data"), "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error category=invalid: manifest.json: {where}: {field} is not finite at {at}"]
 
     def test_flipped_byte_names_both_hashes(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "best"

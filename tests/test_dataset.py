@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,25 @@ def test_manifest_window_defaults(tmp_path):
                                  "channels": 8, "subjects": ["s00"]})
     manifest = io.read_manifest(tmp_path)
     assert (manifest["window_s"], manifest["anchor_s"]) == (3.0, 0.5)
+
+
+def test_matrix_read_names_the_first_non_finite_value_in_a_later_block(tmp_path):
+    """A 9.4 MB feature file is checked in blocks of rows with about 1 MiB of
+    booleans at a time; the error names the first bad value in row order."""
+    arr = np.random.default_rng(0).normal(size=(1200, 2048)).astype(np.float32)
+    arr[1150, 0] = np.inf
+    arr[1100, 7] = np.nan
+    io.write_feature_file(tmp_path, 0, arr, 50.0)
+    path = tmp_path / "features" / "0.bin"
+    tracemalloc.start()
+    try:
+        with pytest.raises(io.DatasetFormatError) as err:
+            io.read_feature_file(tmp_path, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: non-finite value nan at row 1100, column 7"
+    assert peak <= arr.nbytes + (1 << 20) + (64 << 10)
 
 
 @pytest.mark.parametrize("folder, key, value, what", [

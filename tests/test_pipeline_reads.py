@@ -3,7 +3,8 @@
 Each split's windows are the unit the pipeline reads, resamples and holds. A
 build that fits its scalers reads each recording once, for its train and
 valid windows; a build given its scalers, as eval's is, reads no recording
-until it serves the test split; and served windows are not kept.
+until it serves the test split; served windows are not kept; and serving
+the test split frees the train and valid windows a build still holds.
 """
 
 import gc
@@ -65,6 +66,33 @@ def test_eval_build_reads_each_recording_once_for_the_test_split(dataset_600hz, 
     assert not reads
     pipeline.materialize("test")
     assert reads == Counter(dataset_io.recording_ids(dataset_600hz))
+
+
+def test_refitting_eval_build_holds_no_train_or_valid_window(dataset_600hz, trained):
+    """When the dataset's recordings differ from the checkpoint's, eval's build
+    refits the scalers from the train windows; once it has served the test
+    split it holds no more than a build given its scalers."""
+    ckpt = load_checkpoint(trained[0])
+    unknown = dict(list(ckpt["scalers"].items())[1:])  # one recording is not stored
+
+    def held_after_test(scalers):
+        ckpt["scalers"] = scalers
+        _pipeline_for_checkpoint(ckpt, str(dataset_600hz)).materialize("test")  # caches
+        tracemalloc.start()
+        try:
+            pipeline = _pipeline_for_checkpoint(ckpt, str(dataset_600hz))
+            pipeline.materialize("test")
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held, pipeline
+
+    stored, _ = held_after_test(ckpt["scalers"])
+    refitted, pipeline = held_after_test(unknown)
+    assert pipeline.scalers is not unknown
+    info = next(iter(pipeline.recording_info.values()))
+    assert refitted - stored < info.n_channels * pipeline.window_samples * 4  # one window
 
 
 def test_served_windows_are_not_kept(dataset_600hz):

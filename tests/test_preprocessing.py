@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brainspeech import twoway
@@ -320,6 +320,23 @@ class TestBaselineCorrect:
             baseline_correct(np.zeros((1, 30)))
 
 
+class _Quartiles(ScalerParams):
+    """:meth:`ScalerParams.fit`'s quartiles as computed, before the checks
+    that reject a zero interquartile range or a non-finite value."""
+
+    def __post_init__(self):
+        pass
+
+
+def assert_fit_matches_quantile(x):
+    """``fit`` gives np.quantile's bytes and leaves ``x`` untouched."""
+    kept = x.copy()
+    got = _Quartiles.fit(x)
+    want = np.quantile(kept, [0.25, 0.5, 0.75], axis=1)
+    assert np.stack([got.q25, got.median, got.q75]).tobytes() == want.tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
 class TestRobustScale:
     def test_quantile_endpoints(self):
         p = ScalerParams(q25=np.array([-2.0]), median=np.array([0.0]), q75=np.array([2.0]))
@@ -367,6 +384,55 @@ class TestRobustScale:
                     assert got.dtype == np.float64 and got.tobytes() == w.tobytes()
                 assert x.tobytes() == kept.tobytes()
         assert (twoway.split._pool is not None) == (split_mode == "split")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_matches_quantile_on_edge_rows(self, split_mode, dtype):
+        """np.quantile's bytes where a sort and numpy's partition could
+        disagree or the linear rule reaches a row's ends: halves that mix
+        zero-free rows with a row holding -0.0 and 0.0, rows of 1-5 values,
+        quartiles inside runs of equal values, subnormal and +-1e30 values."""
+        rng = np.random.default_rng(11)
+        tiny = np.finfo(dtype).smallest_subnormal
+        signed_zeros = rng.normal(size=(5, 40)).astype(dtype)
+        signed_zeros[3, ::3] = 0.0
+        signed_zeros[3, 1::3] = -0.0
+        assert_fit_matches_quantile(signed_zeros)
+        for length in range(1, 6):
+            assert_fit_matches_quantile(
+                rng.choice([-2.0, -1.0, 1.0, 1.0, 3.0], size=(4, length)).astype(dtype))
+        for counts in ((1, 5, 2), (3, 3, 3), (8, 1, 1), (2, 2, 7)):
+            runs = np.repeat(np.array([-1.5, 2.0, 7.0], dtype=dtype), counts)
+            assert_fit_matches_quantile(np.stack([rng.permutation(runs) for _ in range(3)]))
+        extremes = np.array([tiny, -tiny, 3 * tiny, 1e30, -1e30, 1.0, -4.0], dtype=dtype)
+        assert_fit_matches_quantile(rng.choice(extremes, size=(6, 23)))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(channels=st.integers(1, 9), length=st.integers(1, 70),
+           values=st.sampled_from(["normal", "ties", "signed-zeros", "extreme"]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_fit_matches_quantile_on_drawn_shapes(self, split_mode, channels, length,
+                                                  values, dtype, seed):
+        rng = np.random.default_rng(seed)
+        shape = (channels, length)
+        x = {"normal": lambda: rng.standard_t(3, size=shape),
+             "ties": lambda: rng.integers(-3, 4, size=shape) / 2,
+             "signed-zeros": lambda: rng.choice([-0.0, 0.0, -1.0, 2.5], size=shape),
+             "extreme": lambda: rng.choice([1e30, -1e30, 1e-40, -1e-310, 1.0], size=shape),
+             }[values]().astype(dtype)
+        assert_fit_matches_quantile(x)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistics_rejected(self, value):
+        with pytest.raises(ValueError, match=r"q75 is not finite at channel\(s\) \[1\]"):
+            ScalerParams(q25=[-1.0, -1.0], median=[0.0, 0.0], q75=[1.0, value])
+        with pytest.raises(ValueError, match=r"median is not finite at channel\(s\) \[0\]"):
+            ScalerParams.from_dict({"q25": [-1.0], "median": [value], "q75": [1.0]})
+        x = np.random.default_rng(12).normal(size=(3, 50))
+        x[2, 10:30] = value  # the run makes a quartile of channel 2 NaN or infinite
+        with pytest.raises(ValueError, match=r"is not finite at channel\(s\) \[2\]"), \
+                np.errstate(invalid="ignore"):
+            ScalerParams.fit(x)
 
     def test_fit_allocates_at_most_one_copy(self, split_mode):
         ScalerParams.fit(np.arange(8.0).reshape(2, 4))  # numpy's first quantile imports numpy.ma

@@ -196,6 +196,16 @@ class TestFeatureStats:
         # applying train stats leaves the test shift visible (no refit)
         assert out.mean() > 10.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistics_rejected(self, value):
+        feats = np.random.default_rng(8).normal(size=(3, 50))
+        feats[1, 5] = value
+        with pytest.raises(ValueError, match=r"mean is not finite at feature dimension\(s\) \[1\]"), \
+                np.errstate(invalid="ignore"):
+            FeatureStats.fit([feats])
+        with pytest.raises(ValueError, match=r"std is not finite at feature dimension\(s\) \[0\]"):
+            FeatureStats.from_dict({"mean": [0.0, 0.0], "std": [value, 1.0]})
+
     def test_dict_roundtrip(self):
         stats = FeatureStats.fit([np.random.default_rng(7).normal(size=(3, 50))])
         again = FeatureStats.from_dict(stats.to_dict())

@@ -20,13 +20,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+# brainspeech before numpy: it sets the BLAS thread count only if numpy is not loaded yet
 from brainspeech.brain_net import BrainNet, BrainNetConfig  # noqa: E402
 from brainspeech.numerics import AdamState, Tensor, adam_step  # noqa: E402
 from brainspeech.objective import clip_loss_batch  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 CHANNELS, SAMPLES = 208, 360
 
