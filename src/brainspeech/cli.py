@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import subprocess
@@ -54,17 +55,25 @@ class CliError(RuntimeError):
         self.category = category
 
 
-def _version_stamp() -> dict:
-    stamp = {"version": __version__}
+@functools.lru_cache(maxsize=None)
+def _source_revision() -> Optional[str]:
+    """The short git revision of the source tree, looked up once per process
+    (a ``git`` call costs a few ms); None outside a git checkout."""
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             cwd=Path(__file__).resolve().parent, capture_output=True, text=True, timeout=5,
         )
-        if rev.returncode == 0:
-            stamp["git"] = rev.stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        pass
+        return None
+    return rev.stdout.strip() if rev.returncode == 0 else None
+
+
+def _version_stamp() -> dict:
+    stamp = {"version": __version__}
+    rev = _source_revision()
+    if rev is not None:
+        stamp["git"] = rev
     return stamp
 
 

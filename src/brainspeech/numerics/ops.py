@@ -23,6 +23,18 @@ from .tensor import Tensor, from_op
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Bytes of one thread's conv1d column buffer. conv1d fills the columns of as
+# many samples as fit (at least one) and runs their GEMMs in one call. A
+# paper-width sample (320 channels, k=3, 360 steps of float32) takes 1.4 MB,
+# so it goes alone; at desk width (32 channels) 7 samples share one call's
+# Python work. On a 2-core VM with one BLAS thread, one desk sample per call
+# made perfbench's traced conv1d forward 1.26x (desk-quickstart) and 1.37x
+# (ingest-mel-eval) as long as one batch-sized buffer did. At 1 MB a
+# desk-width conv (B=32, 32 -> 64 channels, split over two threads) took
+# 2.0 ms forward and 5.1 ms backward against 2.0 and 5.4 with batch-sized
+# buffers and 2.5 and 5.6 with 128 kB, timed in turn in one process; 2 and
+# 4 MB timed like 1 MB.
+_COLUMN_BYTES = 1 << 20
 
 
 def _fill_taps(x: np.ndarray, taps: Sequence[np.ndarray], dilation: int) -> None:
@@ -56,10 +68,16 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
     own pass, so no separate sum is kept for backward.
 
     Forward and input gradient run one GEMM per sample and the weight
-    gradient one GEMM over all B*T columns. Over two threads
+    gradient one GEMM over all B*T columns. Each thread reuses one column
+    buffer of ``_COLUMN_BYTES`` (one sample, if a sample's (Cin*k, T)
+    columns take more): it fills the columns of the samples that fit just
+    before their forward GEMMs, and takes their input gradient's GEMM
+    outputs, which it scatters back (col2im) into their rows of dx at once.
+    So neither pass holds a k-times copy of the batch. Over two threads
     (``twoway.split``) the per-sample work splits per half of the batch, and
-    the weight gradient's GEMM runs beside the input gradient's GEMMs, which
-    do as many multiply-adds. No GEMM changes its shape and no sum its order.
+    the weight gradient's GEMM runs beside the input gradient, whose GEMMs
+    do as many multiply-adds. No GEMM changes its shape or operands and no
+    sum its order.
     """
     if x.ndim != 3 or w.ndim != 3:
         raise ValueError("conv1d expects x (B,Cin,T) and w (Cout,Cin,k)")
@@ -78,48 +96,65 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
 
     w2 = w.data.reshape(cout, cin * k)
     out_data = np.empty((batch, cout, t), dtype=np.result_type(w.data, x.data))
-    # Buffers come from the calling thread, so the pool thread's malloc arena
-    # holds no activation-sized memory.
-    cols = np.empty((batch, cin, k, t), dtype=x.dtype) if k > 1 else None
+    sample_bytes = max(cin * k * t * x.dtype.itemsize, 1)
+    # samples per call; k=1 needs no column buffer
+    group = max(1, batch if k == 1 else _COLUMN_BYTES // sample_bytes)
 
-    def forward(rows) -> None:
-        if k == 1:
-            xs = np.ascontiguousarray(x.data[rows])
-        else:
-            _fill_taps(x.data[rows], [cols[rows, :, j] for j in range(k)], dilation)
-            xs = cols[rows].reshape(-1, cin * k, t)
-        np.matmul(w2, xs, out=out_data[rows])
-        if b is not None:
-            out_data[rows] += b.data[:, None]
-        if residual is not None:
-            out_data[rows] += residual.data[rows]
+    def groups(rows) -> list:
+        """Slices of at most ``group`` samples covering ``rows``."""
+        r = range(batch)[rows]
+        return [slice(s, min(s + group, r.stop)) for s in r[::group]]
 
-    twoway.split(batch, out_data.size, forward)
+    def columns(rows, dtype) -> Optional[np.ndarray]:
+        """A column buffer of at most ``group`` samples for ``rows``, None for
+        k=1. Each thread gets its own from the calling thread, so the pool
+        thread's malloc arena holds no activation-sized memory."""
+        n = min(group, len(range(batch)[rows]))
+        return np.empty((n, cin, k, t), dtype=dtype) if k > 1 else None
+
+    def forward(rows, cols) -> None:
+        for c in groups(rows):
+            n = c.stop - c.start
+            if k == 1:
+                xs = np.ascontiguousarray(x.data[c])
+            else:
+                _fill_taps(x.data[c], [cols[:n, :, j] for j in range(k)], dilation)
+                xs = cols[:n].reshape(n, cin * k, t)
+            np.matmul(w2, xs, out=out_data[c])
+            if b is not None:
+                out_data[c] += b.data[:, None]
+            if residual is not None:
+                out_data[c] += residual.data[c]
+
+    twoway.split.run([partial(forward, rows, columns(rows, x.dtype))
+                      for rows in twoway.split.halves(batch, out_data.size)])
 
     # Backward rebuilds the columns from x instead of keeping a k-times copy.
     def backward(g: np.ndarray) -> None:
         need_w, need_x = w.requires_grad, x.requires_grad
         if need_x:
+            dx_type = np.result_type(w2, g)
             if k == 1:
-                dx = np.empty((batch, cin, t), dtype=np.result_type(w2, g))
+                dx = np.empty((batch, cin, t), dtype=dx_type)
             else:
-                dcols = np.empty((batch, cin * k, t), dtype=np.result_type(w2, g))
+                # taps are added in j order into zeros, as a padded buffer would
                 dx = np.zeros((batch, cin, t), dtype=x.dtype)
         if need_w:
             cols_tm = np.empty((batch, t, cin, k), dtype=x.dtype)
             g_cm = np.empty((cout, batch, t), dtype=g.dtype)
             dw2 = np.empty((cout, cin * k), dtype=np.result_type(g, x.data))
 
-        def input_grad(rows) -> None:
-            np.matmul(w2.T, g[rows], out=dx[rows] if k == 1 else dcols[rows])
-
-        def col2im(rows) -> None:
-            taps = dcols[rows].reshape(-1, cin, k, t)
-            dxs = dx[rows]
-            # taps are added in j order into zeros, as a padded buffer would
-            for j in range(k):
-                lo, hi, off = _tap_span(t, k, dilation, j)
-                dxs[..., lo + off : hi + off] += taps[:, :, j, lo:hi]
+        def input_grad(rows, dcols) -> None:
+            for c in groups(rows):
+                n = c.stop - c.start
+                if k == 1:
+                    np.matmul(w2.T, g[c], out=dx[c])
+                    continue
+                np.matmul(w2.T, g[c], out=dcols[:n].reshape(n, cin * k, t))
+                dxs = dx[c]
+                for j in range(k):
+                    lo, hi, off = _tap_span(t, k, dilation, j)
+                    dxs[..., lo + off : hi + off] += dcols[:n, :, j, lo:hi]
 
         def weight_operands(rows) -> None:
             _fill_taps(x.data[rows],
@@ -138,13 +173,13 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
             twoway.split(batch, g.size, weight_operands)
         if need_w and need_x:
             # as many multiply-adds each: dW here, the per-sample dx GEMMs on the pool thread
-            twoway.split.pair(g.size, weight_grad, partial(input_grad, slice(None)))
+            twoway.split.pair(g.size, weight_grad,
+                              partial(input_grad, slice(None), columns(slice(None), dx_type)))
         elif need_x:
-            twoway.split(batch, g.size, input_grad)
+            twoway.split.run([partial(input_grad, rows, columns(rows, dx_type))
+                              for rows in twoway.split.halves(batch, g.size)])
         elif need_w:
             weight_grad()
-        if need_x and k > 1:
-            twoway.split(batch, g.size, col2im)
         if need_w:
             w.accumulate(dw2.reshape(cout, cin, k))
         if b is not None and b.requires_grad:
@@ -185,12 +220,12 @@ def _act_grad(act_backward, gamma: np.ndarray, beta: np.ndarray, xhat: np.ndarra
     half-row (``dtype`` is the output's) by the forward's own expression."""
     if act_backward is None:
         return g
+    y = np.empty(xhat.shape, dtype=dtype)
     dy = np.empty(xhat.shape, dtype=dtype)
 
     def rows(r) -> None:
-        y = dy[r]
-        _affine(gamma, beta, xhat[r], y)
-        act_backward(y, None if cdf is None else cdf[r], g[r], y)
+        _affine(gamma, beta, xhat[r], y[r])
+        act_backward(y[r], None if cdf is None else cdf[r], g[r], dy[r])
 
     twoway.split(len(dy), dy.size, rows)
     return dy
@@ -382,9 +417,18 @@ def _gated(x: np.ndarray, gate: np.ndarray, out: np.ndarray) -> None:
 
 
 def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """``out = g * (cdf + x * pdf(x))``; ``out`` may be ``x`` itself."""
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    np.multiply(g, cdf + x * pdf, out=out)
+    """``out = g * (cdf + x * (exp(-0.5 * x * x) * (1 / sqrt(2 pi))))``, each
+    element through that expression's steps in its order, in place in ``out``;
+    ``out`` must not overlap ``x``, ``cdf`` or ``g``. Only an ``out`` of
+    another dtype than ``x`` costs a scratch array for the steps in ``x``'s."""
+    p = out if out.dtype == x.dtype else np.empty_like(x)
+    np.multiply(-0.5, x, out=p)
+    p *= x
+    np.exp(p, out=p)
+    p *= _INV_SQRT2PI
+    np.multiply(x, p, out=p)
+    np.add(cdf, p, out=p)
+    np.multiply(g, p, out=out)
 
 
 def _relu_forward(x: np.ndarray, _cdf: None, out: np.ndarray) -> None:
@@ -481,9 +525,15 @@ def glu(x: Tensor) -> Tensor:
         dx = np.empty_like(x.data)
 
         def rows(r) -> None:
+            # in dx's own halves: (1 - s) waits in the first until the
+            # second holds g * a * s * (1 - s), then g * s overwrites it
             d, gr, s = dx[r], g[r], sig[r]
-            np.multiply(gr, s, out=d[:, :half])
-            np.multiply(gr * a[r] * s, 1.0 - s, out=d[:, half:])
+            da, dgate = d[:, :half], d[:, half:]
+            np.subtract(1.0, s, out=da)
+            np.multiply(gr, a[r], out=dgate)
+            dgate *= s
+            dgate *= da
+            np.multiply(gr, s, out=da)
 
         twoway.split(x.shape[0], g.size, rows)
         x.accumulate(dx)

@@ -43,23 +43,45 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    """One bias-corrected Adam update; parameters with no gradient are skipped."""
+    """One bias-corrected Adam update; parameters with no gradient are skipped.
+
+    Every gradient is checked before anything changes, so a non-finite one
+    raises :class:`NonFiniteGradient` with every parameter, moment and the
+    step count as they were. Each parameter is then updated in place, through
+    one scratch array per dtype, element by element in the order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    ``p -= (lr*mhat) / (sqrt(vhat) + eps)``.
+    """
+    live = [p for p in params if p.grad is not None]
+    for p in live:
+        if not np.all(np.isfinite(p.grad)):
+            raise NonFiniteGradient(p.name or "<unnamed>")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for p in params:
-        if p.grad is None:
-            continue
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradient(p.name or "<unnamed>")
-        m = state.m[p.name]
-        v = state.v[p.name]
+    largest = max((p.data.size for p in live), default=0)
+    work: Dict[np.dtype, np.ndarray] = {}
+
+    def scratch(like: np.ndarray):
+        """Two scratch views shaped like ``like``, in its dtype."""
+        if like.dtype not in work:
+            work[like.dtype] = np.empty((2, largest), dtype=like.dtype)
+        flat = work[like.dtype][:, : like.size]
+        return flat[0].reshape(like.shape), flat[1].reshape(like.shape)
+
+    for p in live:
+        g, m, v = p.grad, state.m[p.name], state.v[p.name]
+        tmp, _ = scratch(g)
         m *= b1
-        m += (1.0 - b1) * p.grad
+        m += np.multiply(1.0 - b1, g, out=tmp)
         v *= b2
-        v += (1.0 - b2) * (p.grad * p.grad)
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        v += np.multiply(1.0 - b2, np.multiply(g, g, out=tmp), out=tmp)
+        step, den = scratch(m)
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.divide(m, bc1, out=step)
+        np.multiply(state.lr, step, out=step)
+        p.data -= np.divide(step, den, out=step)

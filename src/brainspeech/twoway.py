@@ -1,9 +1,11 @@
 """One pool thread that shares the independent halves of a pass with the calling thread.
 
-The ops in :mod:`brainspeech.numerics.ops` (conv1d's forward and backward,
-batchnorm1d's elementwise passes with its fused activation, forward and
-train-mode backward, gelu's forward and backward, glu's forward and
-backward), :func:`brainspeech.preprocessing.resample` (GEMMs) and
+The ops in :mod:`brainspeech.numerics.ops` (conv1d's per-sample forward
+and input-gradient GEMMs, each half with its own one-sample column buffer,
+and its weight gradient beside the input gradient, batchnorm1d's elementwise
+passes with its fused activation, forward and train-mode backward, gelu's
+forward and backward, glu's forward and backward),
+:func:`brainspeech.preprocessing.resample` (GEMMs) and
 :meth:`brainspeech.preprocessing.ScalerParams.fit` (channel rows) all split
 through the one instance :data:`split`. Callers look it up here at call
 time, so replacing it (or ``_usable_cpus`` and ``_SPLIT_MIN_SIZE``) in this

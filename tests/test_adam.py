@@ -75,3 +75,53 @@ def test_converges_on_quadratic():
         mse(p, target).backward()
         adam_step([p], state)
     np.testing.assert_allclose(p.data, target.data, atol=1e-3)
+
+
+def test_non_finite_gradient_leaves_every_parameter_and_moment_unchanged():
+    rng = np.random.default_rng(3)
+    first = parameter(rng.normal(size=(3, 4)).astype(np.float32), "first")
+    second = parameter(rng.normal(size=5).astype(np.float32), "second")
+    state = AdamState([first, second])
+    first.grad = rng.normal(size=(3, 4)).astype(np.float32)
+    second.grad = rng.normal(size=5).astype(np.float32)
+    adam_step([first, second], state)
+    before = [a.copy() for a in (first.data, state.m["first"], state.v["first"],
+                                 second.data, state.m["second"], state.v["second"])]
+    first.grad = rng.normal(size=(3, 4)).astype(np.float32)
+    second.grad = np.array([0.0, np.nan, 1.0, 0.0, 0.0], dtype=np.float32)
+    with pytest.raises(NonFiniteGradient, match="second"):
+        adam_step([first, second], state)
+    after = (first.data, state.m["first"], state.v["first"],
+             second.data, state.m["second"], state.v["second"])
+    for want, got in zip(before, after):
+        assert got.tobytes() == want.tobytes()
+    assert state.step == 1
+
+
+def adam_oracle(data, grad, m, v, step, lr=3e-4, b1=0.9, b2=0.999, eps=1e-8):
+    """One update of a parameter in the allocating form adam_step replaced."""
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * (grad * grad)
+    mhat = m / (1.0 - b1**step)
+    vhat = v / (1.0 - b2**step)
+    data -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_update_bitwise_matches_allocating_form(dtype):
+    rng = np.random.default_rng(4)
+    shapes = [(6, 5, 3), (6,), ()]
+    params = [parameter(rng.normal(size=s).astype(dtype), f"p{i}") for i, s in enumerate(shapes)]
+    want = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    state = AdamState(params)
+    for step in range(1, 8):
+        for p, (data, m, v) in zip(params, want):
+            p.grad = (rng.normal(size=p.shape) * 10.0**rng.integers(-6, 3)).astype(dtype)
+            adam_oracle(data, p.grad, m, v, step)
+        adam_step(params, state)
+        for p, (data, m, v) in zip(params, want):
+            assert p.data.tobytes() == data.tobytes()
+            assert state.m[p.name].tobytes() == m.tobytes()
+            assert state.v[p.name].tobytes() == v.tobytes()

@@ -17,7 +17,7 @@ import brainspeech.cli
 from brainspeech import checkpoint
 from brainspeech.brain_net import BrainNet, deep_mel_config
 from brainspeech.checkpoint import load_checkpoint, save_checkpoint
-from brainspeech.cli import _pipeline_for_checkpoint, _version_stamp, main
+from brainspeech.cli import _pipeline_for_checkpoint, _source_revision, _version_stamp, main
 from brainspeech.dataset import io as dataset_io
 from brainspeech.config import Config
 from brainspeech.pipeline import DataConfig
@@ -549,6 +549,23 @@ def test_version_stamp_is_the_source_trees_revision(tmp_path, monkeypatch):
         assert stamp["git"] == rev.stdout.strip()
     else:
         assert "git" not in stamp
+
+
+def test_version_stamp_runs_git_once_per_process(monkeypatch):
+    calls = []
+    run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    _source_revision.cache_clear()
+    first = _version_stamp()
+    first["extra"] = True  # each call hands out its own dict
+    assert "extra" not in _version_stamp()
+    assert _version_stamp() == {k: v for k, v in first.items() if k != "extra"}
+    assert len(calls) == 1
 
 
 class TestCheckpointRoundtrip:

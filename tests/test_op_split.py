@@ -4,8 +4,11 @@ The ops split their per-sample work over the calling thread and one pool
 thread. Splitting must not change a bit: outputs, every gradient and the
 BatchNorm running statistics are compared byte for byte with the oracles
 below, with the split forced on (two CPUs, no size floor) and forced off
-(one CPU). The fused forms, conv1d with a residual and batchnorm1d with an
-activation, are compared the same way with the unfused ops they stand for.
+(one CPU). conv1d is also compared with the batch-im2col form that
+per-sample columns replaced, and GELU's and GLU's in-place gradients with
+their allocating expressions. The fused forms, conv1d with a residual and
+batchnorm1d with an activation, are compared the same way with the unfused
+ops they stand for.
 Further tests check that the split passes really reach the pool thread,
 that desk-width passes split at the shipped size floor, that a whole network
 step gives the same bytes either way, and the pool's own lifecycle.
@@ -66,6 +69,50 @@ def conv1d_oracle(x, w, b, dilation, g):
     return out, dx, dw, db
 
 
+def conv1d_batch_oracle(x, w, b, dilation, g, residual=None):
+    """The batch-im2col conv1d that per-sample columns replaced, serial.
+
+    Forward fills one (B, Cin, k, T) column buffer and runs one batched
+    matmul, then adds the bias and the residual. The input gradient is one
+    batched matmul into a (B, Cin*k, T) buffer, whose taps are added in j
+    order into zeros. dW is one GEMM of the (Cout, B*T) gradient with the
+    (B*T, Cin*k) time-major columns. Returns out, dx, dw, db and the
+    residual's gradient.
+    """
+    batch, cin, t = x.shape
+    cout, _, k = w.shape
+    w2 = w.reshape(cout, cin * k)
+
+    def spans():
+        """(j, lo, hi, off): tap j reads x[..., s + off] for lo <= s < hi."""
+        for j in range(k):
+            off = j * dilation - dilation * (k - 1) // 2
+            lo = min(max(-off, 0), t)
+            yield j, lo, max(min(t - off, t), lo), off
+
+    cols = np.zeros((batch, cin, k, t), dtype=x.dtype)
+    for j, lo, hi, off in spans():
+        cols[:, :, j, lo:hi] = x[:, :, lo + off : hi + off]
+    xs = np.ascontiguousarray(x) if k == 1 else cols.reshape(batch, cin * k, t)
+    out = np.matmul(w2, xs)
+    if b is not None:
+        out += b[:, None]
+    if residual is not None:
+        out += residual
+    if k == 1:
+        dx = np.matmul(w2.T, g)
+    else:
+        dcols = np.matmul(w2.T, g).reshape(batch, cin, k, t)
+        dx = np.zeros_like(x)
+        for j, lo, hi, off in spans():
+            dx[..., lo + off : hi + off] += dcols[:, :, j, lo:hi]
+    cols_tm = np.ascontiguousarray(cols.transpose(0, 3, 1, 2)).reshape(batch * t, cin * k)
+    g_cm = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(cout, batch * t)
+    dw = np.dot(g_cm, cols_tm).reshape(cout, cin, k)
+    db = None if b is None else g.sum(axis=(0, 2))
+    return out, dx, dw, db, None if residual is None else g
+
+
 def batchnorm_train_oracle(x, gamma, beta, state, g):
     """Train-mode batch norm; returns out, dx, dgamma, dbeta, running mean, running var."""
     batch, _, t = x.shape
@@ -98,6 +145,8 @@ def batchnorm_eval_oracle(x, gamma, beta, state, g):
 
 
 def gelu_oracle(x, g):
+    """GELU and its gradient as allocating expressions, the form the in-place
+    backward replaced."""
     # Python-float constants keep float32 in float32 (NEP 50)
     cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
     pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
@@ -105,6 +154,8 @@ def gelu_oracle(x, g):
 
 
 def glu_oracle(x, g):
+    """GLU and its gradient as allocating expressions, the form the in-place
+    backward replaced."""
     half = x.shape[1] // 2
     a, gate = x[:, :half], x[:, half:]
     sig = 1.0 / (1.0 + np.exp(-gate))
@@ -160,6 +211,46 @@ def test_conv1d_bitwise_matches_serial_oracle(split_mode, k, dilation, dtype):
         want = conv1d_oracle(x, w, b, dilation, g)
         for name, got_, want_ in zip(("out", "dx", "dw", "db"), (out, dx, dw, db), want):
             assert_bitwise(got_, want_, f"{name} B={batch}")
+    assert (twoway.split._pool is not None) == (split_mode == "split")
+
+
+@pytest.mark.parametrize("group", [1, 3, None], ids=["group1", "group3", "shipped"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dilation", [1, 2, 4, 16])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv1d_bitwise_matches_batch_im2col_oracle(split_mode, k, dilation, dtype, group,
+                                                    monkeypatch):
+    """Column buffers of a few samples give the bytes of one batch-sized
+    buffer: output, dx, dW, db and the residual's gradient, with and without
+    a residual. ``group`` sets the buffer to 1 or 3 samples (the shipped
+    budget holds every batch here whole). At T=1, 2 and 12 a dilation of 16
+    puts some taps wholly outside the window."""
+    rng = np.random.default_rng(k * 100 + dilation + 1)
+    cin, cout = 5, 7
+    w = rng.normal(size=(cout, cin, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    for t in (1, 2, 12, 50, 360):
+        if group is not None:
+            sample_bytes = cin * k * t * np.dtype(dtype).itemsize
+            monkeypatch.setattr(ops, "_COLUMN_BYTES", group * sample_bytes + sample_bytes // 2)
+        for batch in BATCHES:
+            x = rng.normal(size=(batch, cin, t)).astype(dtype)
+            r = rng.normal(size=(batch, cout, t)).astype(dtype)
+            g = rng.normal(size=(batch, cout, t)).astype(dtype)
+            for residual in (None, r):
+                if residual is None:
+                    fn = lambda x_, w_, b_: ops.conv1d(x_, w_, b_, dilation=dilation)
+                    arrays = [x, w, b]
+                else:
+                    fn = lambda x_, w_, b_, r_: ops.conv1d(x_, w_, b_, dilation=dilation,
+                                                           residual=r_)
+                    arrays = [x, w, b, r]
+                out, grads = run_op(fn, arrays, g)
+                want = conv1d_batch_oracle(x, w, b, dilation, g, residual)
+                # without a residual, zip stops before its gradient
+                for name, got_, want_ in zip(("out", "dx", "dw", "db", "dr"), [out, *grads], want):
+                    assert_bitwise(got_, want_, f"{name} T={t} B={batch} "
+                                                f"residual={residual is not None}")
     assert (twoway.split._pool is not None) == (split_mode == "split")
 
 

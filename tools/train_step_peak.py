@@ -5,7 +5,8 @@
 Builds the paper's brain module (208 channels, d1=270, d2=320, 5 blocks,
 3 s windows at 120 Hz), runs one train step on random data (forward, CLIP
 loss, backward, Adam) and prints the batch size, the step's wall time and
-the process peak RSS (``ru_maxrss``) as one JSON line. Run each batch size in
+the process peak RSS (``ru_maxrss``) as one JSON line, with the
+``OPENBLAS_NUM_THREADS`` it ran under (null if unset). Run each batch size in
 a fresh process, from the root of a source checkout, so that the peak
 belongs to that batch size alone; importing ``brainspeech`` sets one BLAS
 thread unless the environment sets a count.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -53,6 +55,7 @@ def main() -> None:
     print(json.dumps({"batch": args.batch, "features": args.features, "step_s": round(step_s, 3),
                       "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                            / 1024, 1),
+                      "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
                       "loss": loss.item()}))
 
 
