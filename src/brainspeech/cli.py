@@ -282,6 +282,11 @@ def _read_report(eval_dir: str, keys: tuple) -> dict:
                 for v in (value.values() if kind is dict else value))):
             what = "object" if kind is dict else "array"
             raise CliError("format", f"{path}: {key} is not a JSON {what} of numbers")
+    if "trial_subjects" in keys:
+        subjects, probs = len(report["trial_subjects"]), len(report["true_word_prob"])
+        if subjects != probs:
+            raise CliError("format", f"{path}: trial_subjects has {subjects} entries, "
+                                     f"true_word_prob {probs}")
     return report
 
 

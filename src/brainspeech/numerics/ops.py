@@ -12,7 +12,6 @@ casts to the array's dtype instead of promoting float32 to float64.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,12 +67,12 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
     own pass, so no separate sum is kept for backward.
 
     Forward and input gradient run one GEMM per sample and the weight
-    gradient one GEMM over all B*T columns. Each thread reuses one column
-    buffer of ``_COLUMN_BYTES`` (one sample, if a sample's (Cin*k, T)
-    columns take more): it fills the columns of the samples that fit just
-    before their forward GEMMs, and takes their input gradient's GEMM
-    outputs, which it scatters back (col2im) into their rows of dx at once.
-    So neither pass holds a k-times copy of the batch. Over two threads
+    gradient one GEMM over all B*T columns. Each thread allocates and reuses
+    one column buffer of ``_COLUMN_BYTES`` (one sample, if a sample's
+    (Cin*k, T) columns take more): it fills the columns of the samples that
+    fit just before their forward GEMMs, and takes their input gradient's
+    GEMM outputs, which it scatters back (col2im) into their rows of dx at
+    once. So neither pass holds a k-times copy of the batch. Over two threads
     (``twoway.split``) the per-sample work splits per half of the batch, and
     the weight gradient's GEMM runs beside the input gradient, whose GEMMs
     do as many multiply-adds. No GEMM changes its shape or operands and no
@@ -107,12 +106,12 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
 
     def columns(rows, dtype) -> Optional[np.ndarray]:
         """A column buffer of at most ``group`` samples for ``rows``, None for
-        k=1. Each thread gets its own from the calling thread, so the pool
-        thread's malloc arena holds no activation-sized memory."""
+        k=1, allocated by the thread that runs ``rows``."""
         n = min(group, len(range(batch)[rows]))
         return np.empty((n, cin, k, t), dtype=dtype) if k > 1 else None
 
-    def forward(rows, cols) -> None:
+    def forward(rows) -> None:
+        cols = columns(rows, x.dtype)
         for c in groups(rows):
             n = c.stop - c.start
             if k == 1:
@@ -126,8 +125,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
             if residual is not None:
                 out_data[c] += residual.data[c]
 
-    twoway.split.run([partial(forward, rows, columns(rows, x.dtype))
-                      for rows in twoway.split.halves(batch, out_data.size)])
+    twoway.split(batch, out_data.size, forward)
 
     # Backward rebuilds the columns from x instead of keeping a k-times copy.
     def backward(g: np.ndarray) -> None:
@@ -144,7 +142,8 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
             g_cm = np.empty((cout, batch, t), dtype=g.dtype)
             dw2 = np.empty((cout, cin * k), dtype=np.result_type(g, x.data))
 
-        def input_grad(rows, dcols) -> None:
+        def input_grad(rows) -> None:
+            dcols = columns(rows, dx_type)
             for c in groups(rows):
                 n = c.stop - c.start
                 if k == 1:
@@ -173,11 +172,10 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, dilation: int = 1,
             twoway.split(batch, g.size, weight_operands)
         if need_w and need_x:
             # as many multiply-adds each: dW here, the per-sample dx GEMMs on the pool thread
-            twoway.split.pair(g.size, weight_grad,
-                              partial(input_grad, slice(None), columns(slice(None), dx_type)))
+            tasks = (weight_grad, lambda: input_grad(slice(None)))
+            twoway.split(2, g.size, lambda r: [task() for task in tasks[r]])
         elif need_x:
-            twoway.split.run([partial(input_grad, rows, columns(rows, dx_type))
-                              for rows in twoway.split.halves(batch, g.size)])
+            twoway.split(batch, g.size, input_grad)
         elif need_w:
             weight_grad()
         if need_w:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,10 +86,11 @@ def resample(signal: np.ndarray, sr_in: float, sr_out: float = WORKING_RATE,
     through :data:`brainspeech.twoway.split`. The same split serves every
     two-way site: this one, the halves of :meth:`ScalerParams.fit`'s channel
     rows, and the batch halves of ``conv1d``, ``glu`` and ``gelu``'s
-    backward. Each half reuses its own float64 input and product buffers,
-    both allocated on the calling thread, so the extra memory is a few MB
-    whatever the recording's size. The pool thread runs only the inner loop,
-    which no profiler wraps by name.
+    backward. Each half allocates its own float64 input and product buffers
+    inside its task, on the thread that runs it, and reuses them for every
+    GEMM of its groups, so the extra memory is a few MB whatever the
+    recording's size. The pool thread runs only the inner loop, which no
+    profiler wraps by name.
     """
     signal = np.atleast_2d(np.asarray(signal))
     if sr_out <= 0 or sr_in <= 0:
@@ -170,9 +170,13 @@ def resample(signal: np.ndarray, sr_in: float, sr_out: float = WORKING_RATE,
         dst[:, c1:c2] = signal[:, -1:]
         dst[:, c2:] = 0.0
 
-    def resample_groups(groups, x, prods) -> None:
+    def resample_groups(part) -> None:
+        # this half's own buffers; rows a GEMM's pieces leave over hold
+        # zeros or an earlier GEMM's rows
+        x = np.zeros((channels, per * step))
+        prods = np.empty((2, channels * per, block))
         rows = x.reshape(channels * per, step)
-        for pieces in groups:
+        for pieces in groups[part]:
             for b0, b1, o in pieces:
                 extend(x[:, o * step : (o + b1 - b0 + n_slices - 1) * step], b0 * step)
             p0 = np.matmul(rows, taps[:step], out=prods[0]).reshape(channels, per, block)
@@ -190,15 +194,8 @@ def resample(signal: np.ndarray, sr_in: float, sr_out: float = WORKING_RATE,
                     c0, c1 = max(a, lo), min(b, hi)
                     outs[i][:, c0 - a : c1 - a] = acc[:, c0 - lo : c1 - lo]
 
-    # each half of the GEMMs gets its own buffers, allocated on this thread;
-    # rows a GEMM's pieces leave over hold zeros or an earlier GEMM's rows
-    split = twoway.split
-    split.run([
-        partial(resample_groups, groups[part], np.zeros((channels, per * step)),
-                np.empty((2, channels * per, block)))
-        for part in split.halves(len(groups), channels * per * step * len(groups)
-                                 + sum(out.size for out in outs))
-    ])
+    size = channels * per * step * len(groups) + sum(out.size for out in outs)
+    twoway.split(len(groups), size, resample_groups)
     return outs[0] if whole else outs
 
 
@@ -263,10 +260,11 @@ class ScalerParams:
         """Quartiles of each channel of a (C, T) signal, byte-equal to
         ``np.quantile(signal, [0.25, 0.5, 0.75], axis=1)``.
 
-        One copy of ``signal`` is made here; the halves of its channel rows
-        are sorted in place, on this thread and the pool thread of
-        :data:`brainspeech.twoway.split`, and each quartile is numpy's lerp
-        between two sorted neighbours. A half holding an exact zero or a NaN
+        One copy of ``signal`` is made here, on the calling thread. Each
+        half of its channel rows (:data:`brainspeech.twoway.split`) is sorted
+        in place by the thread that runs it, which also allocates that
+        half's lerp temporaries, and each quartile is numpy's lerp between
+        two sorted neighbours. A half holding an exact zero or a NaN
         goes through ``np.quantile`` itself: a sort may order -0.0 and 0.0,
         or two NaNs, otherwise than numpy's partition, and such values
         compare equal while their bytes differ. Every other float has one

@@ -1,16 +1,17 @@
 """One pool thread that shares the independent halves of a pass with the calling thread.
 
 The ops in :mod:`brainspeech.numerics.ops` (conv1d's per-sample forward
-and input-gradient GEMMs, each half with its own one-sample column buffer,
-and its weight gradient beside the input gradient, batchnorm1d's elementwise
-passes with its fused activation, forward and train-mode backward, gelu's
-forward and backward, glu's forward and backward),
-:func:`brainspeech.preprocessing.resample` (GEMMs) and
+and input-gradient GEMMs, and its weight gradient beside the input gradient,
+batchnorm1d's elementwise passes with its fused activation, forward and
+train-mode backward, gelu's forward and backward, glu's forward and
+backward), :func:`brainspeech.preprocessing.resample` (GEMMs) and
 :meth:`brainspeech.preprocessing.ScalerParams.fit` (channel rows) all split
-through the one instance :data:`split`. Callers look it up here at call
-time, so replacing it (or ``_usable_cpus`` and ``_SPLIT_MIN_SIZE``) in this
-module changes every site. Only untraced inner functions run on the pool
-thread: every function a profiler wraps by name runs on the calling thread.
+through the one call :data:`split`. Each half allocates whatever scratch it
+needs inside its own task, so the pool thread's half allocates on the pool
+thread. Callers look ``split`` up here at call time, so replacing it (or
+``_usable_cpus`` and ``_SPLIT_MIN_SIZE``) in this module changes every site.
+Only untraced inner functions run on the pool thread: every function a
+profiler wraps by name runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 # Elements a pass's halves touch below which it runs inline. Handing half a
 # pass to the pool costs about 30 us, while gelu's float32 erf costs about 30 ns
@@ -44,11 +44,8 @@ class _TwoWaySplit:
     ``size`` elements the pass touches are fewer than ``_SPLIT_MIN_SIZE`` or
     the process may use only one CPU. Each half writes its own rows of
     preallocated outputs with unchanged per-element arithmetic, so results
-    are bitwise those of the inline call. The pool thread starts on first use.
-
-    A pass that needs scratch buffers per half asks for :meth:`halves` first,
-    allocates one set per slice on the calling thread and hands one task per
-    slice to :meth:`run`.
+    are bitwise those of the inline call. Two unlike tasks run as a pass of
+    n = 2 over the pair. The pool thread starts on first use.
     """
 
     def __init__(self):
@@ -67,37 +64,17 @@ class _TwoWaySplit:
                 self._checked = True
             return self._pool
 
-    def halves(self, n: int, size: int) -> List[slice]:
-        """The slices ``self(n, size, fn)`` hands to ``fn``: the calling
-        thread's first, then the pool thread's, if the pass is split."""
+    def __call__(self, n: int, size: int, fn: Callable[[slice], None]) -> None:
         pool = self._executor() if n > 1 and size >= _SPLIT_MIN_SIZE else None
         if pool is None:
-            return [slice(None)]
-        mid = (n + 1) // 2
-        return [slice(0, mid), slice(mid, n)]
-
-    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
-        """Calls ``tasks[0]`` here and ``tasks[1]``, if given, on the pool thread."""
-        if len(tasks) == 1:
-            tasks[0]()
+            fn(slice(None))
             return
-        future = self._pool.submit(tasks[1])
+        mid = (n + 1) // 2
+        future = pool.submit(fn, slice(mid, n))
         try:
-            tasks[0]()
+            fn(slice(0, mid))
         finally:
             future.result()
-
-    def pair(self, size: int, here: Callable[[], None], there: Callable[[], None]) -> None:
-        """Runs two independent tasks of a pass touching ``size`` elements:
-        ``there`` on the pool thread if the pass is split, else after ``here``."""
-        if len(self.halves(2, size)) == 1:
-            here()
-            there()
-        else:
-            self.run([here, there])
-
-    def __call__(self, n: int, size: int, fn: Callable) -> None:
-        self.run([partial(fn, rows) for rows in self.halves(n, size)])
 
 
 def _usable_cpus() -> int:

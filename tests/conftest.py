@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import threading
+
 import pytest
 
 from brainspeech import twoway
@@ -25,6 +27,25 @@ def force_split(monkeypatch):
     for split in started:
         if split._pool is not None:
             split._pool.shutdown()
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The names of the functions handed to the pool thread of every two-way
+    split started after this fixture, in the order they ran there. Each
+    task checks that it runs on that pool thread."""
+    ran = []
+
+    class RecordingPool(twoway.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def task():
+                assert threading.current_thread().name == "brainspeech-op_0"
+                ran.append(fn.__name__)
+                return fn(*args)
+            return super().submit(task)
+
+    monkeypatch.setattr(twoway, "ThreadPoolExecutor", RecordingPool)
+    return ran
 
 
 @pytest.fixture(params=["inline", "split"])

@@ -352,6 +352,22 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert str(bad / "report.json") in err
 
+    def test_analyze_features_rejects_unequal_trial_arrays(self, tmp_path, capsys):
+        """11 trial subjects beside 12 word probabilities and a 12-row table."""
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        rng = np.random.default_rng(0)
+        report = {"true_word_prob": rng.uniform(size=12).tolist(), "trial_subjects": [0] * 11}
+        (bad / "report.json").write_text(json.dumps(report), encoding="utf-8")
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        np.savetxt(tables / "zipf.csv", rng.normal(size=(12, 1)), delimiter=",")
+        assert main(["analyze", "--report", str(bad), "--features", str(tables),
+                     "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error category=format: {bad / 'report.json'}: trial_subjects has 11 "
+                       "entries, true_word_prob 12\n")
+
     def test_eval_runs_on_the_dataset_window(self, workspace, tmp_path, capsys):
         """A model trained on 3 s windows evaluates 0.8 s isolated-word data on
         that dataset's own windows: no parameter depends on the length."""

@@ -384,28 +384,11 @@ def test_batchnorm1d_activation_bitwise_matches_batchnorm_then_activation(
             assert_bitwise(got_, want_, f"{name} B={batch}")
 
 
-def pool_tasks(split, monkeypatch):
-    """Starts ``split``'s pool and returns the list of the thread names that
-    ran each task handed to it since."""
-    ran = []
-    pool = split._executor()
-    submit = pool.submit
-
-    def recording_submit(fn):
-        def task():
-            ran.append(threading.current_thread().name)
-            return fn()
-        return submit(task)
-
-    monkeypatch.setattr(pool, "submit", recording_submit)
-    return ran
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_gelu_and_batchnorm_forwards_hand_one_task_per_pass_to_the_pool(
-        force_split, monkeypatch, dtype):
+        force_split, pool_tasks, dtype):
     """The oracle tests above would also pass with no split at all."""
-    ran = pool_tasks(force_split(2), monkeypatch)
+    force_split(2)
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(2, 6, 12)).astype(dtype))
     gamma, beta = Tensor(np.ones(6, dtype)), Tensor(np.zeros(6, dtype))
@@ -422,19 +405,19 @@ def test_gelu_and_batchnorm_forwards_hand_one_task_per_pass_to_the_pool(
             lambda: ops.batchnorm1d(x, gamma, beta, state, False, activation="relu"), 1),
     }
     for name, (forward, passes) in forwards.items():
-        ran.clear()
+        pool_tasks.clear()
         with no_grad():
             forward()
-        assert ran == ["brainspeech-op_0"] * passes, name
+        assert len(pool_tasks) == passes, name
 
 
-def test_desk_width_forwards_split_at_the_shipped_floor(shipped_split, monkeypatch):
+def test_desk_width_forwards_split_at_the_shipped_floor(shipped_split, pool_tasks,
+                                                        monkeypatch):
     """A desk-width batch (B=32, 32 channels, 360 samples: 368,640 elements)
     reaches the pool in conv1d, gelu and train-mode batchnorm1d, while a
     paper-width head's gelu (B=8, 16 features: 46,080 elements) and a pass one
     row-pair below the floor run inline."""
     monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
-    ran = pool_tasks(shipped_split, monkeypatch)
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32))
     w = Tensor(rng.normal(size=(32, 32, 3)).astype(np.float32))
@@ -452,20 +435,19 @@ def test_desk_width_forwards_split_at_the_shipped_floor(shipped_split, monkeypat
             lambda: ops.gelu(Tensor(np.ones((2, 1, floor // 2 - 1), np.float32))), False),
     }
     for name, (forward, splits) in forwards.items():
-        ran.clear()
+        pool_tasks.clear()
         with no_grad():
             forward()
-        assert bool(ran) == splits, name
+        assert bool(pool_tasks) == splits, name
 
 
-def test_fused_layer_passes_split_at_desk_width(shipped_split, monkeypatch):
+def test_fused_layer_passes_split_at_desk_width(shipped_split, pool_tasks, monkeypatch):
     """At desk width (B=32, 32 channels, 360 samples) and the shipped floor,
     conv1d's residual add rides in its one split forward pass, and a fused
     batchnorm1d hands the pool its two forward passes and its four backward
     ones: the recompute with the activation's gradient, the products with
     xhat and gamma, and the two dx passes."""
     monkeypatch.setattr(twoway, "_usable_cpus", lambda: 2)
-    ran = pool_tasks(shipped_split, monkeypatch)
     rng = np.random.default_rng(11)
     x = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(32, 32, 3)).astype(np.float32))
@@ -474,13 +456,13 @@ def test_fused_layer_passes_split_at_desk_width(shipped_split, monkeypatch):
     g = Tensor(rng.normal(size=(32, 32, 360)).astype(np.float32))
     with no_grad():
         ops.conv1d(x, w, dilation=2, residual=x)
-    assert ran == ["brainspeech-op_0"]
+    assert pool_tasks == ["forward"]
     for activation in ("gelu", "relu"):
-        ran.clear()
+        pool_tasks.clear()
         out = ops.batchnorm1d(x, gamma, beta, BatchNormState(32), True, activation=activation)
-        assert len(ran) == 2, activation
+        assert len(pool_tasks) == 2, activation
         inner_product_full(out, g).backward()
-        assert ran == ["brainspeech-op_0"] * 6, activation
+        assert len(pool_tasks) == 6, activation
 
 
 def brain_net_step(seed=0):
@@ -503,14 +485,14 @@ def brain_net_step(seed=0):
     return state + [z_eval.data.tobytes()]
 
 
-def test_brain_net_step_bitwise_equal_split_and_inline(force_split, monkeypatch):
+def test_brain_net_step_bitwise_equal_split_and_inline(force_split, pool_tasks):
     """Spatial attention, the subject layer and two blocks, trained one step
     and run in eval mode, give the same bytes with the split on and off."""
     force_split(1)
     want = brain_net_step()
-    ran = pool_tasks(force_split(2), monkeypatch)
+    force_split(2)
     assert brain_net_step() == want
-    assert ran
+    assert pool_tasks
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,6 @@ from brainspeech.pipeline import DataConfig, DataPipeline
 from pipeline_oracle import whole_recording_build
 
 
-def split_passes(split, monkeypatch):
-    """The names of the functions ``split`` ran on both threads, as they run
-    (of a pass in halves, or of the calling thread's task of a pair)."""
-    names = []
-    run = split.run
-
-    def recording_run(tasks):
-        if len(tasks) == 2:
-            names.append(getattr(tasks[0], "func", tasks[0]).__name__)
-        run(tasks)
-
-    monkeypatch.setattr(split, "run", recording_run)
-    return names
-
-
 def build_bytes(root, representation):
     """The scalers, the feature statistics and every split's served arrays
     of a build, as bytes."""
@@ -55,14 +40,16 @@ def scaler_bytes(scalers):
 
 
 @pytest.mark.parametrize("representation", ["mel", "external"])
-def test_build_is_bitwise_equal_split_or_inline(dataset_600hz, force_split, monkeypatch,
+def test_build_is_bitwise_equal_split_or_inline(dataset_600hz, force_split, pool_tasks,
                                                representation):
     built, passes = {}, {}
     for cpus in (1, 2):
-        passes[cpus] = split_passes(force_split(cpus), monkeypatch)
+        force_split(cpus)
+        pool_tasks.clear()
         built[cpus] = build_bytes(dataset_600hz, representation)
-    assert passes[1] == []
-    assert set(passes[2]) == {"resample_groups", "quartile_rows"}
+        passes[cpus] = set(pool_tasks)
+    assert passes[1] == set()
+    assert passes[2] == {"resample_groups", "quartile_rows"}
     assert built[1] == built[2]
 
 
@@ -77,9 +64,9 @@ def test_build_serves_the_windows_of_whole_recordings(dataset_600hz, split_mode)
 
 
 def test_build_then_desk_step_leaves_at_most_one_extra_thread(dataset_600hz, force_split,
-                                                               monkeypatch):
+                                                               pool_tasks):
     before = threading.active_count()
-    passes = split_passes(force_split(2), monkeypatch)
+    force_split(2)
     pipe = DataPipeline(dataset_600hz, DataConfig(representation="external"))
     prepared = pipe.materialize("train")
     cfg = BrainNetConfig(in_channels=pipe.n_channels, out_features=pipe.feature_dim,
@@ -91,5 +78,5 @@ def test_build_then_desk_step_leaves_at_most_one_extra_thread(dataset_600hz, for
                     training=True, rng=np.random.default_rng(2))
     clip_loss_batch(z, Tensor(prepared.candidates[prepared.target_index[rows]])).backward()
     adam_step(params, AdamState(params))
-    assert {"resample_groups", "quartile_rows", "forward"} <= set(passes)
+    assert {"resample_groups", "quartile_rows", "forward"} <= set(pool_tasks)
     assert threading.active_count() <= before + 1
